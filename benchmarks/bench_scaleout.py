@@ -1,11 +1,11 @@
-"""Benchmark pre-fork scale-out: N SO_REUSEPORT workers, one plan store.
+"""Benchmark pre-fork scale-out: N SO_REUSEPORT workers on one port.
 
 A single :class:`~http.server.ThreadingHTTPServer` process serves every
 request under one GIL, so sample throughput stops scaling no matter how
 fast the engine's vectorized passes get.  ``dpcopula serve --workers N``
 breaks that cap with pre-fork workers that each bind the same port via
-``SO_REUSEPORT`` and attach to one mmap-published copy of every compiled
-sampler plan.  This benchmark measures that trajectory: closed-loop HTTP
+``SO_REUSEPORT`` and sample from the plans their own registries
+compiled.  This benchmark measures that trajectory: closed-loop HTTP
 clients hammer ``POST /models/<id>/sample`` against fleets of 1, 2 and 4
 workers over the *same* model, and every response is checked bit for bit
 against a serial ``ReleasedModel.sample`` draw with the same seed — the
@@ -77,7 +77,6 @@ def run_fleet(
             data_dir=Path(tmp) / "data",
             epsilon_cap=10.0,
             workers=workers,
-            shared_store_mode="mmap" if workers > 1 else "off",
         )
         config.ensure_layout()
         model_id = ModelRegistry(config.models_dir).put(

@@ -322,15 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "past it get 429 + Retry-After (default 256; 0 disables the bound)",
     )
     serve.add_argument(
-        "--shared-store",
-        choices=("off", "mmap", "shm"),
-        default=None,
-        help="publish compiled sampler plans for pooled workers: "
-        "memory-mapped files under <data-dir>/plans, or "
-        "multiprocessing shared memory (default: mmap when --workers > 1 "
-        "so the fleet serves one physical copy per plan, else off)",
-    )
-    serve.add_argument(
         "--model-cache-size",
         type=int,
         default=128,
@@ -675,11 +666,6 @@ def _serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    shared_store = args.shared_store
-    if shared_store is None:
-        # A fleet without a shared store would compile every plan once
-        # per process; default to one mmap copy per machine instead.
-        shared_store = "mmap" if workers > 1 else "off"
     latency_buckets = None
     if args.latency_buckets:
         from repro.telemetry.metrics import parse_latency_buckets
@@ -702,7 +688,6 @@ def _serve(args) -> int:
         coalesce_window_seconds=args.coalesce_window,
         max_coalesced_records=args.max_coalesced_records,
         sample_queue_limit=args.sample_queue_limit or None,
-        shared_store_mode=shared_store,
         model_cache_size=args.model_cache_size or None,
         workers=workers,
         slow_request_seconds=args.slow_request_threshold or None,
@@ -769,10 +754,7 @@ def _serve_prefork(args, config, workers: int) -> int:
         f"({workers} workers, {mode})"
     )
     print(f"data directory: {args.data_dir} (ε cap {args.epsilon_cap:g}/dataset)")
-    print(
-        f"worker 0 owns fitting ({args.fit_workers} fit worker(s)); "
-        f"shared plan store: {config.shared_store_mode}"
-    )
+    print(f"worker 0 owns fitting ({args.fit_workers} fit worker(s))")
     print(
         "endpoints: /health /healthz /metrics /budget /debug/observatory "
         "/datasets /fits /models — see docs/SERVICE.md and "

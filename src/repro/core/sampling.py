@@ -13,7 +13,7 @@ Three steps, all pure post-processing of already-private quantities:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -50,36 +50,6 @@ class BatchedMarginInverter:
         )
         self._starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
         self._limits = sizes - 1
-
-    def tables(self) -> Dict[str, np.ndarray]:
-        """The four lookup arrays, for persistence or shared memory."""
-        return {
-            "flat": self._flat,
-            "bands": self._bands,
-            "starts": self._starts,
-            "limits": self._limits,
-        }
-
-    @classmethod
-    def from_tables(
-        cls,
-        flat: np.ndarray,
-        bands: np.ndarray,
-        starts: np.ndarray,
-        limits: np.ndarray,
-    ) -> "BatchedMarginInverter":
-        """Rebuild an inverter around precomputed tables without copying.
-
-        The arrays are used as-is (they may be memory-mapped or live in
-        shared memory); the result is bitwise equivalent to constructing
-        from the margins the tables were derived from.
-        """
-        self = cls.__new__(cls)
-        self._flat = np.asarray(flat, dtype=float)
-        self._bands = np.asarray(bands, dtype=float)
-        self._starts = np.asarray(starts, dtype=np.int64)
-        self._limits = np.asarray(limits, dtype=np.int64)
-        return self
 
     @property
     def n_margins(self) -> int:

@@ -1,4 +1,4 @@
-"""The sampling engine: compiled plans, shared stores, request coalescing.
+"""The sampling engine: compiled plans and request coalescing.
 
 The serve hot path (``POST /models/<id>/sample``) used to repeat
 per-model work on every request: re-factorize the correlation matrix,
@@ -9,13 +9,15 @@ once per model and serves every subsequent request from the plan:
 * :mod:`repro.engine.plan` — the compiled plan itself (cached Cholesky
   factor, precomputed :class:`~repro.core.sampling.BatchedMarginInverter`
   tables, domain metadata) plus the batched multi-request draw;
-* :mod:`repro.engine.store` — read-only plan publication via
-  memory-mapped ``.npy`` files or ``multiprocessing.shared_memory``,
-  generation-tagged so registry hot-swaps retire stale plans atomically;
 * :mod:`repro.engine.coalesce` — micro-batching of concurrent requests
   against the same plan into one vectorized draw, bitwise identical per
   request to an uncoalesced serial draw;
 * :mod:`repro.engine.engine` — the facade the service talks to.
+
+Plans are process-local: every serving process samples from the plan
+its own :class:`~repro.service.registry.ModelRegistry` compiled (one
+m×m factor plus one CDF entry per domain value), and the registry's
+generation tags keep pre-fork workers coherent across hot-swaps.
 
 Everything here is pure post-processing of already-released DP state:
 no code path in this package ever touches original data or spends ε.
@@ -24,19 +26,11 @@ no code path in this package ever touches original data or spends ε.
 from repro.engine.coalesce import EngineOverloadedError, RequestCoalescer
 from repro.engine.engine import SamplingEngine
 from repro.engine.plan import SamplerPlan, compile_plan
-from repro.engine.store import (
-    MmapPlanStore,
-    SharedMemoryPlanStore,
-    build_plan_store,
-)
 
 __all__ = [
     "EngineOverloadedError",
-    "MmapPlanStore",
     "RequestCoalescer",
     "SamplerPlan",
     "SamplingEngine",
-    "SharedMemoryPlanStore",
-    "build_plan_store",
     "compile_plan",
 ]

@@ -1,12 +1,11 @@
 """The sampling-engine facade the synthesis service talks to.
 
-:class:`SamplingEngine` composes the three engine layers behind one
-call: resolve the model's compiled plan (from a provider such as
-:meth:`~repro.service.registry.ModelRegistry.get_plan`), optionally
-re-home its arrays in a shared read-only store, mint the request's
-generator, and execute — coalesced with concurrent peers when a
-:class:`~repro.engine.coalesce.RequestCoalescer` is configured, or as a
-direct plan draw otherwise.
+:class:`SamplingEngine` composes the engine layers behind one call:
+resolve the model's compiled plan (from a provider such as
+:meth:`~repro.service.registry.ModelRegistry.get_plan`), mint the
+request's generator, and execute — coalesced with concurrent peers when
+a :class:`~repro.engine.coalesce.RequestCoalescer` is configured, or as
+a direct plan draw otherwise.
 
 Seeding contract: a request with an explicit ``seed`` gets exactly
 ``np.random.default_rng(seed)`` — bitwise the generator the pre-engine
@@ -40,7 +39,7 @@ _ENGINE_SECONDS = metrics.REGISTRY.histogram(
 
 
 class SamplingEngine:
-    """Serve-side sampling: compiled plans, shared arrays, coalesced draws.
+    """Serve-side sampling: compiled plans, coalesced draws.
 
     Parameters
     ----------
@@ -51,9 +50,6 @@ class SamplingEngine:
     coalescer:
         Optional :class:`~repro.engine.coalesce.RequestCoalescer`;
         ``None`` executes every request as its own draw.
-    store:
-        Optional shared plan store (``MmapPlanStore`` /
-        ``SharedMemoryPlanStore``); ``None`` serves plans process-local.
     seed_root:
         Entropy for the unseeded-request ``SeedSequence``; ``None``
         pulls OS entropy.
@@ -63,12 +59,10 @@ class SamplingEngine:
         self,
         plan_provider: Callable[[str], SamplerPlan],
         coalescer: Optional[RequestCoalescer] = None,
-        store=None,
         seed_root: Optional[int] = None,
     ):
         self._provider = plan_provider
         self._coalescer = coalescer
-        self._store = store
         self._seed_lock = threading.Lock()
         self._seed_sequence = np.random.SeedSequence(seed_root)
 
@@ -79,13 +73,6 @@ class SamplingEngine:
         with self._seed_lock:
             child = self._seed_sequence.spawn(1)[0]
         return np.random.default_rng(child)
-
-    def plan(self, model_id: str) -> SamplerPlan:
-        """The model's current plan, re-homed in the shared store if any."""
-        plan = self._provider(model_id)
-        if self._store is not None:
-            plan = self._store.publish(plan)
-        return plan
 
     def sample(
         self,
@@ -101,7 +88,7 @@ class SamplingEngine:
         budget is spent here.
         """
         started = time.perf_counter()
-        plan = self.plan(model_id)
+        plan = self._provider(model_id)
         if n is None:
             n = plan.n_records
         rng = self.request_generator(seed)
@@ -122,8 +109,3 @@ class SamplingEngine:
     def pending(self) -> int:
         """Requests parked in the coalescer (scrape-time gauge source)."""
         return self._coalescer.pending() if self._coalescer is not None else 0
-
-    def close(self) -> None:
-        """Tear down the shared store, if one is configured."""
-        if self._store is not None:
-            self._store.close()

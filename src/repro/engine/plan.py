@@ -26,23 +26,19 @@ over the whole batch.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import special as sc
 
 from repro.core.sampling import BatchedMarginInverter
-from repro.data.dataset import Attribute, Dataset, Schema
+from repro.data.dataset import Dataset, Schema
 from repro.io import ReleasedModel
 from repro.stats.copula_math import cholesky_factor
 from repro.stats.ecdf import HistogramCDF
 from repro.utils import check_int_at_least
 
 __all__ = ["SamplerPlan", "compile_plan"]
-
-#: Version tag for published plan arrays; bump when the array set or
-#: their meaning changes so a stale shared store fails loudly.
-PLAN_FORMAT_VERSION = 1
 
 
 class SamplerPlan:
@@ -54,8 +50,8 @@ class SamplerPlan:
         Registry id of the model this plan was compiled from.
     generation:
         Monotone per-model counter assigned by the registry; a hot-swap
-        bumps it, which is how shared stores and coalescers recognize
-        (and retire) stale plans.
+        bumps it, so the coalescer never batches requests against old
+        and new arrays together.
     cholesky:
         Lower-triangular factor of the (repaired) DP correlation matrix.
     inverter:
@@ -113,29 +109,12 @@ class SamplerPlan:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(
-        self,
-        n: int,
-        rng: np.random.Generator,
-        chunk_size: Optional[int] = None,
-    ) -> Dataset:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         """One request: bitwise identical to ``ReleasedModel.sample``.
 
-        ``chunk_size`` bounds the transient ``(n, m)`` work arrays
-        without changing the output (``standard_normal`` fills C-order
-        rows from one stream, so row-chunked draws consume the generator
-        identically).
+        Runs as a batch of one, so the plan has a single hot loop.
         """
-        check_int_at_least("n", n, 1)
-        step = n if chunk_size is None else check_int_at_least(
-            "chunk_size", chunk_size, 1
-        )
-        out = np.empty((n, self.m), dtype=np.int64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            latent = rng.standard_normal((stop - start, self.m)) @ self.cholesky.T
-            out[start:stop] = self.inverter(sc.ndtr(latent))
-        return Dataset(out, self.schema)
+        return self.sample_batch([(n, rng)])[0]
 
     def sample_batch(
         self, requests: Sequence[Tuple[int, np.random.Generator]]
@@ -143,11 +122,11 @@ class SamplerPlan:
         """Coalesced execution of many requests in one vectorized pass.
 
         Each ``(n, generator)`` request's output is bitwise identical to
-        a serial ``self.sample(n, generator)`` call: the latent draw and
-        the Cholesky matmul run per request (their results depend on the
-        generator state and, for BLAS, on the operand shapes), while the
-        elementwise normal CDF and the banded ``searchsorted`` inversion
-        — both verified slice-stable — run once over the whole batch.
+        drawing it alone: the latent draw and the Cholesky matmul run per
+        request (their results depend on the generator state and, for
+        BLAS, on the operand shapes), while the elementwise normal CDF
+        and the banded ``searchsorted`` inversion — both verified
+        slice-stable — run once over the whole batch.
         """
         if not requests:
             return []
@@ -168,64 +147,6 @@ class SamplerPlan:
             results.append(Dataset(records[offset : offset + size], self.schema))
             offset += size
         return results
-
-    # -- publication ------------------------------------------------------
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The plan's numeric state, for shared stores."""
-        tables = self.inverter.tables()
-        return {
-            "cholesky": self.cholesky,
-            "margin_flat": tables["flat"],
-            "margin_bands": tables["bands"],
-            "margin_starts": tables["starts"],
-            "margin_limits": tables["limits"],
-        }
-
-    def metadata(self) -> Dict[str, Any]:
-        """The plan's non-array state, JSON-serializable."""
-        return {
-            "format_version": PLAN_FORMAT_VERSION,
-            "model_id": self.model_id,
-            "generation": self.generation,
-            "schema": [[a.name, a.domain_size] for a in self.schema],
-            "n_records": self.n_records,
-            "epsilon": self.epsilon,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], metadata: Dict[str, Any]
-    ) -> "SamplerPlan":
-        """Rebuild a plan around published arrays (mmap or shared memory).
-
-        The arrays are used as-is — no copies — so many processes can
-        serve from one physical plan.
-        """
-        version = int(metadata.get("format_version", 1))
-        if version != PLAN_FORMAT_VERSION:
-            raise ValueError(
-                f"published plan has format version {version}; this build "
-                f"reads version {PLAN_FORMAT_VERSION}"
-            )
-        schema = Schema(
-            Attribute(name, int(size)) for name, size in metadata["schema"]
-        )
-        inverter = BatchedMarginInverter.from_tables(
-            arrays["margin_flat"],
-            arrays["margin_bands"],
-            arrays["margin_starts"],
-            arrays["margin_limits"],
-        )
-        return cls(
-            model_id=metadata["model_id"],
-            generation=metadata["generation"],
-            cholesky=arrays["cholesky"],
-            inverter=inverter,
-            schema=schema,
-            n_records=metadata["n_records"],
-            epsilon=metadata["epsilon"],
-        )
 
 
 def compile_plan(

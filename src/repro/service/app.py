@@ -41,12 +41,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.dpcopula import DEFAULT_RATIO_K, DPCopulaKendall, DPCopulaMLE
-from repro.engine import (
-    EngineOverloadedError,
-    RequestCoalescer,
-    SamplingEngine,
-    build_plan_store,
-)
+from repro.engine import EngineOverloadedError, RequestCoalescer, SamplingEngine
 from repro.io import ReleasedModel
 from repro.resilience.journal import JobJournal, JobRecord
 from repro.resilience.retry import RetryPolicy, call_with_retry, mark_no_retry
@@ -143,9 +138,9 @@ class SynthesisService:
             config.models_dir, max_cached_models=config.model_cache_size
         )
         self.accountant = PrivacyAccountant(config.ledger_path, config.epsilon_cap)
-        # The sampling engine: compiled plans from the registry, arrays
-        # optionally re-homed in a shared read-only store, concurrent
-        # requests coalesced into one vectorized draw (docs/PERFORMANCE.md).
+        # The sampling engine: compiled plans from the registry,
+        # concurrent requests coalesced into one vectorized draw
+        # (docs/PERFORMANCE.md).
         self.engine = SamplingEngine(
             self.registry.get_plan,
             coalescer=RequestCoalescer(
@@ -153,7 +148,6 @@ class SynthesisService:
                 max_batch_records=config.max_coalesced_records,
                 max_pending_requests=config.sample_queue_limit,
             ),
-            store=build_plan_store(config.shared_store_mode, config.plans_dir),
         )
         self.journal = JobJournal(config.jobs_dir)
         # One stateless execution context serves every fit worker; each
@@ -912,4 +906,3 @@ class SynthesisService:
             self._metrics_flusher.stop()
         if self.trace_exporter is not None:
             self.trace_exporter.uninstall()
-        self.engine.close()

@@ -151,13 +151,6 @@ class ServiceConfig:
         Bound on sample requests parked in the coalescer across all
         models.  Arrivals beyond it get HTTP 429 + ``Retry-After``.
         ``None`` disables the bound.
-    shared_store_mode:
-        How compiled sampler plans are published for pooled/pre-fork
-        workers: ``"off"`` (process-local, the default), ``"mmap"``
-        (memory-mapped files under ``<data_dir>/plans``) or ``"shm"``
-        (``multiprocessing.shared_memory`` segments).  Pre-fork serving
-        (``workers > 1``) defaults to ``"mmap"`` at the CLI so every
-        worker serves one physical copy of each compiled plan.
     model_cache_size:
         LRU bound on released models (and their compiled plans) the
         registry keeps in memory.  ``None`` caches without bound.
@@ -218,7 +211,6 @@ class ServiceConfig:
     coalesce_window_seconds: float = 0.0
     max_coalesced_records: int = 262_144
     sample_queue_limit: Optional[int] = 256
-    shared_store_mode: str = "off"
     model_cache_size: Optional[int] = 128
     workers: int = 1
     worker_index: Optional[int] = None
@@ -247,10 +239,6 @@ class ServiceConfig:
     @property
     def jobs_dir(self) -> Path:
         return self.root / "jobs"
-
-    @property
-    def plans_dir(self) -> Path:
-        return self.root / "plans"
 
     @property
     def metrics_dir(self) -> Path:

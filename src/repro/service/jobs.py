@@ -360,6 +360,17 @@ class FitWorker:
             return True
         return False
 
+    @staticmethod
+    def _settle(job: FitJob, status: str) -> None:
+        """Publish ``job``'s terminal status, after its finish time.
+
+        Readers poll the job document without a lock, so ``finished_at``
+        must already be set when a terminal status becomes visible.
+        Callers journal the transition first.
+        """
+        job.finished_at = time.time()
+        job.status = status
+
     def _run_job(self, job: FitJob) -> str:
         if self.job_timeout is None:
             return self._runner(job)
@@ -381,9 +392,7 @@ class FitWorker:
                 )
                 continue
             if self._cancelled_before_start(job):
-                job.status = JobStatus.CANCELLED
                 job.error = "cancelled before start"
-                job.finished_at = time.time()
                 self._journal_update(
                     job.job_id, state="cancelled", error=job.error
                 )
@@ -391,6 +400,7 @@ class FitWorker:
                 _logger.info(
                     "fit job cancelled before start", extra={"job_id": job.job_id}
                 )
+                self._settle(job, JobStatus.CANCELLED)
                 continue
             job.status = JobStatus.RUNNING
             job.started_at = time.time()
@@ -411,7 +421,6 @@ class FitWorker:
                     job.model_id = self._run_job(job)
                 except JobCancelledError as exc:
                     job.error = str(exc)
-                    job.status = JobStatus.CANCELLED
                     self._journal_update(
                         job.job_id, state="cancelled", error=job.error
                     )
@@ -420,9 +429,9 @@ class FitWorker:
                         "fit job cancelled",
                         extra={"dataset": job.dataset_id, "method": job.method},
                     )
+                    self._settle(job, JobStatus.CANCELLED)
                 except DeadlineExceeded as exc:
                     job.error = f"DeadlineExceeded: {exc}"
-                    job.status = JobStatus.FAILED
                     self._journal_update(
                         job.job_id, state="failed", error=job.error
                     )
@@ -436,12 +445,12 @@ class FitWorker:
                             "timeout": self.job_timeout,
                         },
                     )
+                    self._settle(job, JobStatus.FAILED)
                 except Exception as exc:
                     # The job record keeps the one-line summary for API
                     # clients; the log carries the full traceback the
                     # summary used to swallow.
                     job.error = f"{type(exc).__name__}: {exc}"
-                    job.status = JobStatus.FAILED
                     self._journal_update(
                         job.job_id, state="failed", error=job.error
                     )
@@ -451,8 +460,8 @@ class FitWorker:
                         "fit job failed",
                         extra={"dataset": job.dataset_id, "method": job.method},
                     )
+                    self._settle(job, JobStatus.FAILED)
                 else:
-                    job.status = JobStatus.DONE
                     self._journal_update(
                         job.job_id, state="done", model_id=job.model_id
                     )
@@ -468,5 +477,4 @@ class FitWorker:
                             "seconds": round(time.time() - job.started_at, 6),
                         },
                     )
-                finally:
-                    job.finished_at = time.time()
+                    self._settle(job, JobStatus.DONE)

@@ -1,4 +1,4 @@
-"""Pre-fork multi-process serving: N workers, one port, one plan store.
+"""Pre-fork multi-process serving: N workers, one port, one data directory.
 
 A single :class:`~http.server.ThreadingHTTPServer` process caps sample
 throughput at one GIL no matter how fast the engine gets.  This module
@@ -23,10 +23,11 @@ Division of labor
 -----------------
 Worker 0 is the **fit owner** (see ``ServiceConfig.is_fit_owner``): it
 runs the fit pool, startup job recovery and the journal poller that
-adopts follower submissions.  All workers serve reads and sampling.
-Cross-process coherence rides on durable state grown elsewhere in this
-PR: flocked ledger appends, sidecar-fingerprint generation watching in
-the registry, and the race-safe mmap plan store.
+adopts follower submissions.  All workers serve reads and sampling,
+each from the sampler plans its own registry compiled.  Cross-process
+coherence rides on durable state: flocked ledger appends and
+sidecar-fingerprint generation watching in the registry, which makes
+every worker recompile a model's plan after any process hot-swaps it.
 
 Supervision
 -----------
@@ -307,9 +308,9 @@ class PreforkServer:
         A crashed worker (any unexpected exit) is restarted with a
         capped exponential backoff; a worker that had been serving for
         a while restarts immediately (its backoff resets).  Shared
-        durable state — the mmap plan store, the registry sidecars, the
-        ledger — lives in the data directory, so a respawned worker
-        attaches to the *current* model generations, not a reset.
+        durable state — the registry sidecars, the ledger, the job
+        journal — lives in the data directory, so a respawned worker
+        loads the *current* model generations, not a reset.
         """
         respawned = 0
         for index, process in list(self._processes.items()):

@@ -14,12 +14,13 @@ models starts instantly.  The in-memory cache is **bounded**: at most
 so an evicted model silently reloads on next use).
 
 Each cache entry carries the model's compiled
-:class:`~repro.engine.plan.SamplerPlan` alongside the model itself, and
-every model id has a monotonically increasing **generation** number.
-:meth:`ModelRegistry.replace` hot-swaps a model's released state in
-place and bumps the generation, which is how downstream plan consumers
-(the sampling engine's shared stores and coalescer) atomically retire
-stale plans.
+:class:`~repro.engine.plan.SamplerPlan` alongside the model itself —
+the plan the sampling engine serves every request from, compiled once
+per cached model and process — and every model id has a monotonically
+increasing **generation** number.  :meth:`ModelRegistry.replace`
+hot-swaps a model's released state in place and bumps the generation,
+so a new plan replaces the old one atomically and the engine's
+coalescer never batches requests across the two.
 
 Generations are **durable and cross-process**: the sidecar records the
 current generation, and every cache hit re-checks the sidecar's stat
@@ -390,8 +391,8 @@ class ModelRegistry:
         """The model's compiled sampler plan (the engine's plan provider).
 
         Compiled once per cached model — generation-tagged so the
-        engine's shared stores and coalescer can retire a plan the
-        moment :meth:`replace` swaps the model underneath it.
+        engine's coalescer stops batching against a plan the moment
+        :meth:`replace` swaps the model underneath it.
         """
         return self._entry(model_id).plan
 

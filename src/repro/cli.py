@@ -982,10 +982,6 @@ def _jobs(args) -> int:
         except KeyError:
             print(f"no journaled job with id {args.cancel!r}", file=sys.stderr)
             return 1
-        if record.state == "queued":
-            record = journal.update(
-                args.cancel, state="cancelled", error="cancelled via CLI"
-            )
         print(f"cancellation requested for {args.cancel} (state: {record.state})")
         return 0
     if args.show:

@@ -9,7 +9,9 @@ this).  The journal makes jobs durable:
 
 * ``<jobs-dir>/<job_id>.json`` — the job's lifecycle record, rewritten
   atomically on every transition (``queued`` → ``running`` → ``done`` /
-  ``failed`` / ``cancelled`` / ``voided``).
+  ``failed`` / ``cancelled`` / ``voided``).  The record is the job's only
+  state: the service renders every job document from it, so every
+  worker and every restart reads the same job.
 * ``<jobs-dir>/<job_id>.<stage>.npz`` — per-stage checkpoints (the DP
   margin counts, the DP correlation matrix).  Stage outputs are
   themselves ε-paid releases, so persisting them leaks nothing beyond
@@ -24,8 +26,9 @@ absent: the stage recomputes from its per-stage seed, bitwise
 identically.
 
 The journal is also the control channel for cancellation: ``dpcopula
-jobs --cancel`` (or ``POST /fits/<id>/cancel``) sets a flag in the
-record that the running fit polls at stage boundaries.
+jobs --cancel`` (or ``POST /fits/<id>/cancel``) cancels a queued job
+outright, or sets a flag in the record that the running fit polls at
+stage boundaries.
 """
 
 from __future__ import annotations
@@ -80,7 +83,14 @@ class JobRecord:
     model_id: Optional[str] = None
     error: Optional[str] = None
     submitted_at: float = field(default_factory=time.time)
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
     updated_at: float = field(default_factory=time.time)
+
+    @property
+    def finished(self) -> bool:
+        """Whether the job reached a terminal state."""
+        return self.state not in _ACTIVE_STATES
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -99,6 +109,8 @@ class JobRecord:
             "model_id": self.model_id,
             "error": self.error,
             "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
             "updated_at": self.updated_at,
         }
 
@@ -122,6 +134,8 @@ class JobRecord:
             model_id=payload.get("model_id"),
             error=payload.get("error"),
             submitted_at=float(payload.get("submitted_at", 0.0)),
+            started_at=payload.get("started_at"),
+            finished_at=payload.get("finished_at"),
             updated_at=float(payload.get("updated_at", 0.0)),
         )
 
@@ -156,35 +170,58 @@ class JobJournal:
             if path.exists():
                 raise ValueError(f"job {record.job_id!r} already journaled")
             self._write(record)
-        self.refresh_state_gauge()
         return record
 
     def load(self, job_id: str) -> JobRecord:
-        path = self._record_path(job_id)
-        if not path.exists():
-            raise KeyError(f"no journaled job with id {job_id!r}")
-        return JobRecord.from_dict(json.loads(path.read_text()))
+        try:
+            text = self._record_path(job_id).read_text()
+        except FileNotFoundError:
+            raise KeyError(f"no journaled job with id {job_id!r}") from None
+        return JobRecord.from_dict(json.loads(text))
 
     def update(self, job_id: str, **fields: Any) -> JobRecord:
         """Atomically apply ``fields`` to the record and persist it."""
         with self._lock:
+            return self._save(self.load(job_id), **fields)
+
+    def start(self, job_id: str) -> Optional[JobRecord]:
+        """Move a queued job to ``running`` and stamp ``started_at``.
+
+        Returns the running record, or ``None`` when the job must not
+        run: it is no longer queued (a cancel got there first), or a
+        cancel was requested while it waited, in which case it is
+        cancelled here.  The state check and the write happen under the
+        journal's lock, so within one process a queued job is either
+        started or cancelled, never both.
+        """
+        with self._lock:
             record = self.load(job_id)
-            for name, value in fields.items():
-                if not hasattr(record, name):
-                    raise AttributeError(f"JobRecord has no field {name!r}")
-                setattr(record, name, value)
-            record.updated_at = time.time()
-            self._write(record)
-        self.refresh_state_gauge()
-        return record
+            if record.state != "queued":
+                return None
+            if record.cancel_requested:
+                self.request_cancel(job_id)
+                return None
+            return self._save(
+                record,
+                state="running",
+                attempts=record.attempts + 1,
+                started_at=time.time(),
+            )
 
     def mark_stage_computed(self, job_id: str, stage: str) -> JobRecord:
         """Count a stage *computation* (checkpoint loads don't count)."""
         with self._lock:
             record = self.load(job_id)
             record.stage_computed[stage] = record.stage_computed.get(stage, 0) + 1
-            record.updated_at = time.time()
-            self._write(record)
+            return self._save(record)
+
+    def _save(self, record: JobRecord, **fields: Any) -> JobRecord:
+        for name, value in fields.items():
+            if not hasattr(record, name):
+                raise AttributeError(f"JobRecord has no field {name!r}")
+            setattr(record, name, value)
+        record.updated_at = time.time()
+        self._write(record)
         return record
 
     def _write(self, record: JobRecord) -> None:
@@ -200,7 +237,6 @@ class JobJournal:
                 self._record_path(job_id).unlink()
             except FileNotFoundError:
                 pass
-        self.refresh_state_gauge()
 
     def list(self) -> List[JobRecord]:
         """All journaled jobs, newest submission first."""
@@ -221,13 +257,23 @@ class JobJournal:
     # -- cancellation -----------------------------------------------------
 
     def request_cancel(self, job_id: str) -> JobRecord:
-        """Flag a job for cooperative cancellation.
+        """Flag a job for cancellation; a queued job is cancelled at once.
 
-        Takes effect before the job starts, or at its next stage
-        boundary if it is already running.  Finished jobs are left
-        untouched (the flag is recorded but has no effect).
+        A queued job moves to ``cancelled`` in the same write (checked
+        under the lock, like :meth:`start`); a running job stops at its
+        next stage boundary.  Finished jobs are left untouched (the flag
+        is recorded but has no effect).
         """
-        return self.update(job_id, cancel_requested=True)
+        with self._lock:
+            record = self.load(job_id)
+            fields: Dict[str, Any] = {"cancel_requested": True}
+            if record.state == "queued":
+                fields.update(
+                    state="cancelled",
+                    error="cancelled before start",
+                    finished_at=time.time(),
+                )
+            return self._save(record, **fields)
 
     def cancel_requested(self, job_id: str) -> bool:
         try:
@@ -294,10 +340,16 @@ class JobJournal:
     def void(self, job_id: str, reason: str) -> JobRecord:
         """Close out an unresumable job explicitly."""
         _logger.warning("voiding job", extra={"job_id": job_id, "reason": reason})
-        return self.update(job_id, state="voided", error=reason)
+        return self.update(
+            job_id, state="voided", error=reason, finished_at=time.time()
+        )
 
     def refresh_state_gauge(self) -> None:
-        """Point-in-time census of job states for ``/metrics``."""
+        """Point-in-time census of job states for ``/metrics``.
+
+        Reads every record, so the service calls it when metrics are
+        read, never on a job transition.
+        """
         counts = {state: 0 for state in JOB_STATES}
         for record in self.list():
             if record.state in counts:

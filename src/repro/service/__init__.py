@@ -27,7 +27,7 @@ from repro.service.errors import (
     ValidationError,
 )
 from repro.service.http import build_server
-from repro.service.jobs import FitJob, FitWorker, JobStatus
+from repro.service.jobs import FitWorker
 from repro.service.prefork import PreforkServer, resolve_worker_count
 from repro.service.registry import ModelRecord, ModelRegistry
 from repro.service.serializers import dataset_summary, dataset_to_rows
@@ -45,9 +45,7 @@ __all__ = [
     "build_server",
     "PreforkServer",
     "resolve_worker_count",
-    "FitJob",
     "FitWorker",
-    "JobStatus",
     "ModelRecord",
     "ModelRegistry",
     "dataset_summary",

@@ -29,12 +29,13 @@ pool, startup recovery and a journal poller; every other worker serves
 reads and sampling itself but *journals* fit submissions as ``queued``
 records that the owner's poller picks up within a poll interval.  The
 durable journal is thereby both the queue and the API: ``job_status`` /
-``list_jobs`` / ``cancel_job`` already fall back to it, so any worker
-answers for any job.
+``list_jobs`` / ``cancel_job`` read it on every worker, so any worker
+answers for any job with the same document.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -55,7 +56,7 @@ from repro.service.errors import (
     ValidationError,
 )
 from repro.parallel import ExecutionContext
-from repro.service.jobs import FitCheckpoint, FitJob, FitWorker
+from repro.service.jobs import FitCheckpoint, FitWorker, job_document
 from repro.service.registry import ModelRegistry
 from repro.service.serializers import dataset_summary, dataset_to_rows
 from repro.telemetry import (
@@ -117,6 +118,29 @@ def _key_error_message(exc: KeyError) -> str:
     return str(exc.args[0]) if exc.args else str(exc)
 
 
+def _positive_number(name: str, value: Any) -> float:
+    """``value`` as a finite positive float, else a 400.
+
+    JSON booleans are Python ints, and ``1e309`` or ``NaN`` parse to
+    non-finite floats; all of them are refused here, before anything is
+    journaled or charged.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number) and number > 0:
+                return number
+    raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _check_seed(seed: Any) -> None:
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValidationError("seed must be an integer or null")
+
+
 class SynthesisService:
     """Application core for the DP synthesis server."""
 
@@ -162,10 +186,10 @@ class SynthesisService:
         if config.is_fit_owner:
             self.worker: Optional[FitWorker] = FitWorker(
                 self._execute_fit,
+                self.journal,
                 max_workers=config.fit_workers,
                 max_queue=config.max_queued_fits,
                 job_timeout=config.fit_timeout_seconds,
-                journal=self.journal,
             )
             self._recover_jobs()
             if config.multi_worker:
@@ -253,7 +277,7 @@ class SynthesisService:
     # -- fitting ----------------------------------------------------------
 
     def submit_fit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Validate a fit request and enqueue it; returns the job view.
+        """Validate a fit request and enqueue it; returns the job document.
 
         The authoritative budget charge happens in the worker (under the
         accountant's lock, in submission order); this method fast-fails
@@ -278,16 +302,10 @@ class SynthesisService:
                 f"unsupported fit method {method!r}: the service fits "
                 f"{supported}{detail}"
             )
-        try:
-            epsilon = float(payload.get("epsilon", 1.0))
-            k = float(payload.get("k", DEFAULT_RATIO_K))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"epsilon and k must be numbers: {exc}") from exc
-        if epsilon <= 0 or k <= 0:
-            raise ValidationError("epsilon and k must be positive")
+        epsilon = _positive_number("epsilon", payload.get("epsilon", 1.0))
+        k = _positive_number("k", payload.get("k", DEFAULT_RATIO_K))
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ValidationError("seed must be an integer or null")
+        _check_seed(seed)
         if not self.accountant.can_charge(dataset_id, epsilon):
             raise BudgetRefusedError(
                 f"fit refused: ε={epsilon:.6g} exceeds the remaining "
@@ -300,7 +318,7 @@ class SynthesisService:
             # or retried attempt must replay the exact same RNG streams
             # to release bitwise the same model for the same charge.
             seed = int.from_bytes(os.urandom(8), "big")
-        job = FitJob(
+        record = JobRecord(
             job_id=FitWorker.new_job_id(),
             dataset_id=dataset_id,
             method=method,
@@ -321,38 +339,21 @@ class SynthesisService:
                         f"fit queue is full ({bound} jobs waiting); retry later",
                         retry_after=5.0,
                     )
-            record = self.journal.create(
-                JobRecord(
-                    job_id=job.job_id,
-                    dataset_id=dataset_id,
-                    method=method,
-                    epsilon=epsilon,
-                    k=k,
-                    seed=seed,
-                )
-            )
+            self.journal.create(record)
             _logger.info(
                 "fit submission journaled for the fit owner",
-                extra={"job_id": job.job_id, "dataset": dataset_id},
+                extra={"job_id": record.job_id, "dataset": dataset_id},
             )
-            return self._job_view(record)
+            return job_document(record)
         # Journal before enqueueing so the worker can never observe an
         # unjournaled job; a queue-full refusal takes the record back.
-        self.journal.create(
-            JobRecord(
-                job_id=job.job_id,
-                dataset_id=dataset_id,
-                method=method,
-                epsilon=epsilon,
-                k=k,
-                seed=seed,
-            )
-        )
+        self.journal.create(record)
         try:
-            return self.worker.submit(job).to_dict()
+            self.worker.submit(record)
         except BaseException:
-            self.journal.delete(job.job_id)
+            self.journal.delete(record.job_id)
             raise
+        return job_document(record)
 
     def _recover_jobs(self) -> None:
         """Re-enqueue journaled jobs a previous process left unfinished.
@@ -369,17 +370,8 @@ class SynthesisService:
                     f"dataset {record.dataset_id!r} no longer exists",
                 )
                 continue
-            job = FitJob(
-                job_id=record.job_id,
-                dataset_id=record.dataset_id,
-                method=record.method,
-                epsilon=record.epsilon,
-                k=record.k,
-                seed=record.seed,
-                submitted_at=record.submitted_at,
-            )
-            self.journal.update(record.job_id, state="queued")
-            self.worker.submit(job, force=True)
+            self.journal.update(record.job_id, state="queued", started_at=None)
+            self.worker.submit(record, force=True)
             _JOBS_RECOVERED.inc()
             _logger.info(
                 "recovered journaled fit job",
@@ -415,16 +407,7 @@ class SynthesisService:
                 for record in self.journal.list():
                     if record.state != "queued" or self.worker.known(record.job_id):
                         continue
-                    job = FitJob(
-                        job_id=record.job_id,
-                        dataset_id=record.dataset_id,
-                        method=record.method,
-                        epsilon=record.epsilon,
-                        k=record.k,
-                        seed=record.seed,
-                        submitted_at=record.submitted_at,
-                    )
-                    self.worker.submit(job, force=True)
+                    self.worker.submit(record, force=True)
                     _logger.info(
                         "adopted follower fit submission",
                         extra={"job_id": record.job_id},
@@ -432,7 +415,7 @@ class SynthesisService:
             except Exception:  # pragma: no cover - defensive
                 _logger.exception("journal poll failed")
 
-    def _execute_fit(self, job: FitJob) -> str:
+    def _execute_fit(self, job: JobRecord) -> str:
         """Worker entry point: charge the ledger, fit, register.
 
         Every service fit runs under an active trace: the spans feed the
@@ -462,6 +445,12 @@ class SynthesisService:
             raise mark_no_retry(
                 NotFoundError(_key_error_message(exc))
             ) from exc
+        # Build the synthesizer before charging: a parameter it refuses
+        # (e.g. a non-finite k in a journaled record) fails the job with
+        # no ε spent.
+        synthesizer = FIT_METHODS[job.method](
+            job.epsilon, k=job.k, rng=job.seed, context=self.context
+        )
         # Charge before fitting: once the mechanisms below see the data
         # the privacy loss is real, so an overdraft must stop us here.
         # The idempotency key makes re-attempts free: the first journaled
@@ -476,18 +465,12 @@ class SynthesisService:
             IO_RETRY_POLICY,
             operation="accountant.charge",
         )
-        checkpoint = (
-            FitCheckpoint(self.journal, job.job_id)
-            if job.job_id in self.journal
-            else None
-        )
         started = time.perf_counter()
-        synthesizer = FIT_METHODS[job.method](
-            job.epsilon, k=job.k, rng=job.seed, context=self.context
-        )
         try:
             with trace.trace_root("service.fit", method=job.method) as profile:
-                synthesizer.fit(dataset, checkpoint=checkpoint)
+                synthesizer.fit(
+                    dataset, checkpoint=FitCheckpoint(self.journal, job.job_id)
+                )
         except BaseException as exc:
             self._maybe_refund(job, synthesizer, exc)
             raise
@@ -515,7 +498,7 @@ class SynthesisService:
         )
         return record.model_id
 
-    def _maybe_refund(self, job: FitJob, synthesizer, exc: BaseException) -> None:
+    def _maybe_refund(self, job: JobRecord, synthesizer, exc: BaseException) -> None:
         """Refund the job's charge iff no noise was ever drawn for it.
 
         The provably-safe window: ``privacy_touched_`` is still False
@@ -530,10 +513,9 @@ class SynthesisService:
         """
         if getattr(synthesizer, "privacy_touched_", True):
             return
-        if job.job_id in self.journal:
-            record = self.journal.load(job.job_id)
-            if record.stages_done or record.stage_computed:
-                return
+        record = self.journal.load(job.job_id)
+        if record.stages_done or record.stage_computed:
+            return
         if self.journal.has_stage_checkpoints(job.job_id):
             # A persisted stage NPZ is a durable DP release even when
             # the lifecycle record never recorded the stage (a crash
@@ -567,75 +549,26 @@ class SynthesisService:
             )
 
     def cancel_job(self, job_id: str) -> Dict[str, Any]:
-        """Request cooperative cancellation of a fit job.
+        """Request cancellation of a fit job; returns its document.
 
-        Queued jobs are cancelled before they start; running jobs stop
-        at their next stage boundary.  Finished jobs are left untouched
-        (the flag is recorded but has no effect).  Returns the job view.
+        Queued jobs are cancelled at once; running jobs stop at their
+        next stage boundary.  Finished jobs are left untouched (the flag
+        is recorded but has no effect).
         """
-        if self.worker is not None:
-            try:
-                job = self.worker.request_cancel(job_id)
-                return job.to_dict()
-            except KeyError:
-                pass
-        # Not in worker memory (e.g. journaled by a previous process,
-        # or this is a follower worker): flag it in the journal so the
-        # owner/restart won't resurrect it.
         try:
-            record = self.journal.request_cancel(job_id)
+            return job_document(self.journal.request_cancel(job_id))
         except KeyError as exc:
             raise NotFoundError(f"no fit job with id {job_id!r}") from exc
-        if record.state == "queued":
-            record = self.journal.update(
-                job_id, state="cancelled", error="cancelled before start"
-            )
-        return self._job_view(record)
-
-    @staticmethod
-    def _job_view(record: JobRecord) -> Dict[str, Any]:
-        """Map a journal record onto the API's job document shape."""
-        return {
-            "job_id": record.job_id,
-            "dataset_id": record.dataset_id,
-            "method": record.method,
-            "epsilon": record.epsilon,
-            "k": record.k,
-            "seed": record.seed,
-            "status": record.state,
-            "model_id": record.model_id,
-            "error": record.error,
-            "submitted_at": record.submitted_at,
-            "started_at": None,
-            "finished_at": None,
-            "cancel_requested": record.cancel_requested,
-        }
 
     def job_status(self, job_id: str) -> Dict[str, Any]:
-        if self.worker is not None:
-            try:
-                return self.worker.get(job_id).to_dict()
-            except KeyError:
-                pass
         try:
-            return self._job_view(self.journal.load(job_id))
+            return job_document(self.journal.load(job_id))
         except KeyError as exc:
             raise NotFoundError(f"no fit job with id {job_id!r}") from exc
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        """All known jobs: live worker state plus journal-only history."""
-        views = (
-            {job.job_id: job.to_dict() for job in self.worker.list()}
-            if self.worker is not None
-            else {}
-        )
-        for record in self.journal.list():
-            if record.job_id not in views:
-                views[record.job_id] = self._job_view(record)
-        ordered = sorted(
-            views.values(), key=lambda v: v["submitted_at"], reverse=True
-        )
-        return ordered
+        """Every journaled job's document, newest submission first."""
+        return [job_document(record) for record in self.journal.list()]
 
     # -- models -----------------------------------------------------------
 
@@ -677,8 +610,7 @@ class SynthesisService:
                 f"n={n} exceeds the per-request limit of {MAX_SAMPLE_N}; "
                 "page your sampling across requests"
             )
-        if seed is not None and not isinstance(seed, int):
-            raise ValidationError("seed must be an integer or null")
+        _check_seed(seed)
         started = time.perf_counter()
         try:
             synthetic = self.engine.sample(model_id, n, seed=seed)

@@ -24,14 +24,17 @@ Resilience (see docs/RELIABILITY.md):
 * The queue is *bounded* (``max_queue``): submissions past the bound
   are refused with :class:`~repro.service.errors.QueueFullError`, which
   the HTTP layer maps to 429 + ``Retry-After``.
-* Every job is journaled to a durable
-  :class:`~repro.resilience.journal.JobJournal` (when one is attached),
-  so a restarted service re-enqueues interrupted jobs and resumes their
-  fits from per-stage checkpoints via :class:`FitCheckpoint`.
+* A job's only state is its durable
+  :class:`~repro.resilience.journal.JobRecord`: the worker queues job
+  ids whose records are already journaled and writes each transition,
+  with its timestamp, as one atomic journal write.  A restarted service
+  re-enqueues interrupted jobs and resumes their fits from per-stage
+  checkpoints via :class:`FitCheckpoint`.
 * Jobs run under an optional wall-clock deadline (``job_timeout``),
   enforced cooperatively at fit-stage and parallel-task boundaries.
-* Cancellation is cooperative too: the journal's ``cancel_requested``
-  flag is honored before a job starts and at each stage boundary.
+* Cancellation is cooperative too: the journal cancels a queued job
+  outright, and its ``cancel_requested`` flag is honored at each stage
+  boundary of a running one.
 """
 
 from __future__ import annotations
@@ -40,17 +43,16 @@ import queue
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 import numpy as np
 
 from repro.resilience.deadlines import Deadline, DeadlineExceeded, deadline_scope
-from repro.resilience.journal import JobJournal
+from repro.resilience.journal import JobJournal, JobRecord
 from repro.service.errors import JobCancelledError, QueueFullError
 from repro.telemetry import bind_context, get_logger, metrics
 
-__all__ = ["FitCheckpoint", "FitJob", "FitWorker", "JobStatus"]
+__all__ = ["FitCheckpoint", "FitWorker", "job_document"]
 
 _logger = get_logger("service.jobs")
 
@@ -75,52 +77,23 @@ _QUEUE_REFUSALS = metrics.REGISTRY.counter(
 QUEUE_FULL_RETRY_AFTER = 5.0
 
 
-class JobStatus:
-    """Lifecycle states of a fit job."""
-
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-    CANCELLED = "cancelled"
-
-    TERMINAL = (DONE, FAILED, CANCELLED)
-
-
-@dataclass
-class FitJob:
-    """One queued model-fitting request and its evolving status."""
-
-    job_id: str
-    dataset_id: str
-    method: str
-    epsilon: float
-    k: float
-    seed: Optional[int] = None
-    status: str = JobStatus.QUEUED
-    model_id: Optional[str] = None
-    error: Optional[str] = None
-    submitted_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    cancel_requested: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "dataset_id": self.dataset_id,
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "seed": self.seed,
-            "status": self.status,
-            "model_id": self.model_id,
-            "error": self.error,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "cancel_requested": self.cancel_requested,
-        }
+def job_document(record: JobRecord) -> Dict[str, Any]:
+    """The API's job document (``GET /fits/<id>``) for a journal record."""
+    return {
+        "job_id": record.job_id,
+        "dataset_id": record.dataset_id,
+        "method": record.method,
+        "epsilon": record.epsilon,
+        "k": record.k,
+        "seed": record.seed,
+        "status": record.state,
+        "model_id": record.model_id,
+        "error": record.error,
+        "submitted_at": record.submitted_at,
+        "started_at": record.started_at,
+        "finished_at": record.finished_at,
+        "cancel_requested": record.cancel_requested,
+    }
 
 
 class FitCheckpoint:
@@ -173,9 +146,12 @@ class FitWorker:
     Parameters
     ----------
     runner:
-        Called with each job once a worker picks it up; returns the
-        registered model id.  Exceptions mark the job ``failed`` with
-        the exception message and never kill the worker.
+        Called with each job's running record once a worker picks it
+        up; returns the registered model id.  Exceptions mark the job
+        ``failed`` with the exception message and never kill the worker.
+    journal:
+        The durable :class:`~repro.resilience.journal.JobJournal` that
+        holds every queued job's record and receives every transition.
     max_workers:
         Number of pool threads.  The default of 1 preserves strictly
         serial, submission-ordered processing (deterministic budget
@@ -187,33 +163,29 @@ class FitWorker:
         Per-job wall-clock deadline in seconds, installed around the
         runner with :func:`~repro.resilience.deadlines.deadline_scope`.
         ``None`` means unlimited.
-    journal:
-        Optional durable :class:`~repro.resilience.journal.JobJournal`;
-        when attached, every lifecycle transition is persisted and jobs
-        survive process restarts.
     """
 
     _STOP = object()
 
     def __init__(
         self,
-        runner: Callable[[FitJob], str],
+        runner: Callable[[JobRecord], str],
+        journal: JobJournal,
         max_workers: int = 1,
         max_queue: Optional[int] = None,
         job_timeout: Optional[float] = None,
-        journal: Optional[JobJournal] = None,
     ):
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_queue is not None and int(max_queue) < 1:
             raise ValueError(f"max_queue must be >= 1 or None, got {max_queue}")
         self._runner = runner
+        self.journal = journal
         self.max_workers = int(max_workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.job_timeout = job_timeout
-        self.journal = journal
         self._queue: "queue.Queue" = queue.Queue()
-        self._jobs: Dict[str, FitJob] = {}
+        self._accepted: Set[str] = set()
         self._lock = threading.Lock()
         self._skip_pending = False
         self._threads = [
@@ -229,8 +201,8 @@ class FitWorker:
     def new_job_id() -> str:
         return uuid.uuid4().hex[:12]
 
-    def submit(self, job: FitJob, force: bool = False) -> FitJob:
-        """Enqueue ``job`` and return it (status ``queued``).
+    def submit(self, job: JobRecord, force: bool = False) -> None:
+        """Enqueue the already-journaled ``job``.
 
         Raises :class:`QueueFullError` when the waiting-job bound is
         reached: shedding load at submission keeps both the queue and
@@ -240,7 +212,7 @@ class FitWorker:
         queue regardless of its length.
         """
         with self._lock:
-            if job.job_id in self._jobs:
+            if job.job_id in self._accepted:
                 raise ValueError(f"job id {job.job_id!r} already submitted")
             if (
                 not force
@@ -257,12 +229,12 @@ class FitWorker:
                     "retry later",
                     retry_after=QUEUE_FULL_RETRY_AFTER,
                 )
-            self._jobs[job.job_id] = job
+            self._accepted.add(job.job_id)
             # Enqueue under the same lock as the bound check: concurrent
             # submits could otherwise each pass the check before either
             # puts, overshooting max_queue.  The queue is unbounded at
             # the queue.Queue level, so this put never blocks.
-            self._queue.put(job)
+            self._queue.put(job.job_id)
         _QUEUE_DEPTH.set(self._queue.qsize())
         _logger.info(
             "fit job queued",
@@ -273,7 +245,6 @@ class FitWorker:
                 "epsilon": job.epsilon,
             },
         )
-        return job
 
     def queue_depth(self) -> int:
         """Jobs waiting to start (the running job is not counted)."""
@@ -283,12 +254,6 @@ class FitWorker:
         """Whether every pool thread is still draining the queue."""
         return all(thread.is_alive() for thread in self._threads)
 
-    def get(self, job_id: str) -> FitJob:
-        with self._lock:
-            if job_id not in self._jobs:
-                raise KeyError(f"no fit job with id {job_id!r}")
-            return self._jobs[job_id]
-
     def known(self, job_id: str) -> bool:
         """Whether this worker has ever accepted ``job_id``.
 
@@ -297,29 +262,19 @@ class FitWorker:
         queue or history.
         """
         with self._lock:
-            return job_id in self._jobs
+            return job_id in self._accepted
 
-    def list(self) -> List[FitJob]:
-        with self._lock:
-            jobs = list(self._jobs.values())
-        jobs.sort(key=lambda j: j.submitted_at, reverse=True)
-        return jobs
+    def wait(self, job_id: str, timeout: float = 60.0, poll: float = 0.02) -> JobRecord:
+        """Block until ``job_id``'s journal record is terminal; return it.
 
-    def request_cancel(self, job_id: str) -> FitJob:
-        """Flag a job for cooperative cancellation (queued or running)."""
-        job = self.get(job_id)
-        job.cancel_requested = True
-        if self.journal is not None and job.job_id in self.journal:
-            self.journal.request_cancel(job.job_id)
-        return job
-
-    def wait(self, job_id: str, timeout: float = 60.0, poll: float = 0.02) -> FitJob:
-        """Block until ``job_id`` finishes (test/CLI convenience)."""
+        A test/CLI convenience; raises ``KeyError`` for a job the
+        journal does not hold.
+        """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            job = self.get(job_id)
-            if job.status in JobStatus.TERMINAL:
-                return job
+            record = self.journal.load(job_id)
+            if record.finished:
+                return record
             time.sleep(poll)
         raise TimeoutError(f"fit job {job_id!r} did not finish in {timeout}s")
 
@@ -341,37 +296,7 @@ class FitWorker:
 
     # -- worker loop ------------------------------------------------------
 
-    def _journal_update(self, job_id: str, **fields: Any) -> None:
-        """Best-effort journal transition; never kills the worker thread."""
-        if self.journal is None or job_id not in self.journal:
-            return
-        try:
-            self.journal.update(job_id, **fields)
-        except OSError:
-            _logger.exception(
-                "journal update failed", extra={"job_id": job_id}
-            )
-
-    def _cancelled_before_start(self, job: FitJob) -> bool:
-        if job.cancel_requested:
-            return True
-        if self.journal is not None and self.journal.cancel_requested(job.job_id):
-            job.cancel_requested = True
-            return True
-        return False
-
-    @staticmethod
-    def _settle(job: FitJob, status: str) -> None:
-        """Publish ``job``'s terminal status, after its finish time.
-
-        Readers poll the job document without a lock, so ``finished_at``
-        must already be set when a terminal status becomes visible.
-        Callers journal the transition first.
-        """
-        job.finished_at = time.time()
-        job.status = status
-
-    def _run_job(self, job: FitJob) -> str:
+    def _run_job(self, job: JobRecord) -> str:
         if self.job_timeout is None:
             return self._runner(job)
         with deadline_scope(Deadline.after(self.job_timeout)):
@@ -379,102 +304,89 @@ class FitWorker:
 
     def _drain(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is self._STOP:
+            job_id = self._queue.get()
+            if job_id is self._STOP:
                 return
-            job: FitJob = item
             _QUEUE_DEPTH.set(self._queue.qsize())
             if self._skip_pending:
                 # Undrained shutdown: leave the job journaled as queued
                 # so the next service start resumes it.
                 _logger.info(
-                    "skipping queued job at shutdown", extra={"job_id": job.job_id}
+                    "skipping queued job at shutdown", extra={"job_id": job_id}
                 )
                 continue
-            if self._cancelled_before_start(job):
-                job.error = "cancelled before start"
-                self._journal_update(
-                    job.job_id, state="cancelled", error=job.error
+            try:
+                job = self.journal.start(job_id)
+            except (KeyError, ValueError, OSError):
+                # An unreadable record or a failed write: the job keeps
+                # its last durable state, which startup recovery settles.
+                _logger.exception(
+                    "could not start fit job", extra={"job_id": job_id}
                 )
-                _JOBS_TOTAL.inc(status=JobStatus.CANCELLED)
-                _logger.info(
-                    "fit job cancelled before start", extra={"job_id": job.job_id}
-                )
-                self._settle(job, JobStatus.CANCELLED)
                 continue
-            job.status = JobStatus.RUNNING
-            job.started_at = time.time()
-            if self.journal is not None and job.job_id in self.journal:
-                try:
-                    attempts = self.journal.load(job.job_id).attempts
-                except (KeyError, ValueError, OSError):
-                    attempts = 0
-                self._journal_update(
-                    job.job_id, state="running", attempts=attempts + 1
-                )
-            with bind_context(job_id=job.job_id):
+            if job is None:
+                _JOBS_TOTAL.inc(status="cancelled")
                 _logger.info(
-                    "fit job started",
-                    extra={"dataset": job.dataset_id, "method": job.method},
+                    "fit job cancelled before start", extra={"job_id": job_id}
                 )
-                try:
-                    job.model_id = self._run_job(job)
-                except JobCancelledError as exc:
-                    job.error = str(exc)
-                    self._journal_update(
-                        job.job_id, state="cancelled", error=job.error
-                    )
-                    _JOBS_TOTAL.inc(status=JobStatus.CANCELLED)
-                    _logger.info(
-                        "fit job cancelled",
-                        extra={"dataset": job.dataset_id, "method": job.method},
-                    )
-                    self._settle(job, JobStatus.CANCELLED)
-                except DeadlineExceeded as exc:
-                    job.error = f"DeadlineExceeded: {exc}"
-                    self._journal_update(
-                        job.job_id, state="failed", error=job.error
-                    )
-                    _FIT_ERRORS.inc(stage="deadline")
-                    _JOBS_TOTAL.inc(status=JobStatus.FAILED)
-                    _logger.warning(
-                        "fit job exceeded its deadline",
-                        extra={
-                            "dataset": job.dataset_id,
-                            "method": job.method,
-                            "timeout": self.job_timeout,
-                        },
-                    )
-                    self._settle(job, JobStatus.FAILED)
-                except Exception as exc:
-                    # The job record keeps the one-line summary for API
-                    # clients; the log carries the full traceback the
-                    # summary used to swallow.
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    self._journal_update(
-                        job.job_id, state="failed", error=job.error
-                    )
-                    _FIT_ERRORS.inc(stage="fit_job")
-                    _JOBS_TOTAL.inc(status=JobStatus.FAILED)
-                    _logger.exception(
-                        "fit job failed",
-                        extra={"dataset": job.dataset_id, "method": job.method},
-                    )
-                    self._settle(job, JobStatus.FAILED)
-                else:
-                    self._journal_update(
-                        job.job_id, state="done", model_id=job.model_id
-                    )
-                    if self.journal is not None:
-                        self.journal.drop_stages(job.job_id)
-                    _JOBS_TOTAL.inc(status=JobStatus.DONE)
-                    _logger.info(
-                        "fit job done",
-                        extra={
-                            "dataset": job.dataset_id,
-                            "method": job.method,
-                            "model_id": job.model_id,
-                            "seconds": round(time.time() - job.started_at, 6),
-                        },
-                    )
-                    self._settle(job, JobStatus.DONE)
+                continue
+            with bind_context(job_id=job_id):
+                self._run(job)
+
+    def _run(self, job: JobRecord) -> None:
+        """Run a started job and journal its terminal transition.
+
+        Counters, logs and checkpoint cleanup come first, so a reader
+        who sees the terminal record sees a job whose work is complete.
+        """
+        _logger.info(
+            "fit job started",
+            extra={"dataset": job.dataset_id, "method": job.method},
+        )
+        try:
+            model_id = self._run_job(job)
+        except JobCancelledError as exc:
+            outcome: Dict[str, Any] = {"state": "cancelled", "error": str(exc)}
+            _logger.info(
+                "fit job cancelled",
+                extra={"dataset": job.dataset_id, "method": job.method},
+            )
+        except DeadlineExceeded as exc:
+            outcome = {"state": "failed", "error": f"DeadlineExceeded: {exc}"}
+            _FIT_ERRORS.inc(stage="deadline")
+            _logger.warning(
+                "fit job exceeded its deadline",
+                extra={
+                    "dataset": job.dataset_id,
+                    "method": job.method,
+                    "timeout": self.job_timeout,
+                },
+            )
+        except Exception as exc:
+            # The job record keeps the one-line summary for API clients;
+            # the log carries the full traceback the summary swallows.
+            outcome = {"state": "failed", "error": f"{type(exc).__name__}: {exc}"}
+            _FIT_ERRORS.inc(stage="fit_job")
+            _logger.exception(
+                "fit job failed",
+                extra={"dataset": job.dataset_id, "method": job.method},
+            )
+        else:
+            outcome = {"state": "done", "model_id": model_id}
+            self.journal.drop_stages(job.job_id)
+            _logger.info(
+                "fit job done",
+                extra={
+                    "dataset": job.dataset_id,
+                    "method": job.method,
+                    "model_id": model_id,
+                    "seconds": round(time.time() - job.started_at, 6),
+                },
+            )
+        _JOBS_TOTAL.inc(status=outcome["state"])
+        try:
+            self.journal.update(job.job_id, finished_at=time.time(), **outcome)
+        except OSError:
+            # The job stays at its last durable state (running) until
+            # startup recovery settles it.
+            _logger.exception("journal update failed", extra={"job_id": job.job_id})

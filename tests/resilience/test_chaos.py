@@ -75,7 +75,7 @@ class TestStageHang:
         try:
             submitted = _submit(service, service_csv)
             job = service.worker.wait(submitted["job_id"], timeout=30.0)
-            assert job.status == "failed"
+            assert job.state == "failed"
             assert "deadline" in (job.error or "").lower()
             # The hang hit *after* the margins drew their noise, so the
             # ε is genuinely spent and must stay charged.
@@ -92,7 +92,7 @@ class TestRestartResume:
         control = _service(tmp_path / "control")
         try:
             control_job = _submit(control, service_csv, seed=7)
-            assert control.worker.wait(control_job["job_id"]).status == "done"
+            assert control.worker.wait(control_job["job_id"]).state == "done"
             control_model = _model_arrays(
                 tmp_path / "control" / "models" / f"m-{control_job['job_id']}.npz"
             )
@@ -105,7 +105,7 @@ class TestRestartResume:
         try:
             submitted = _submit(service, service_csv, seed=7)
             job_id = submitted["job_id"]
-            assert service.worker.wait(job_id).status == "failed"
+            assert service.worker.wait(job_id).state == "failed"
             faults.configure(None)
             # A real crash leaves the record in flight rather than
             # cleanly failed; emulate that before the restart.
@@ -115,7 +115,7 @@ class TestRestartResume:
 
         revived = _service(tmp_path / "data")
         try:
-            assert revived.worker.wait(job_id).status == "done"
+            assert revived.worker.wait(job_id).state == "done"
             record = revived.journal.load(job_id)
             # Margins were computed by the first attempt only; resume
             # restored them from the checkpoint.
@@ -146,7 +146,7 @@ class TestRefundWindow:
         service = _service(tmp_path / "data")
         try:
             submitted = _submit(service, service_csv)
-            assert service.worker.wait(submitted["job_id"]).status == "failed"
+            assert service.worker.wait(submitted["job_id"]).state == "failed"
             summary = service.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.0)
             assert summary["epsilon_remaining"] == pytest.approx(3.0)
@@ -159,7 +159,7 @@ class TestRefundWindow:
         service = _service(tmp_path / "data")
         try:
             submitted = _submit(service, service_csv)
-            assert service.worker.wait(submitted["job_id"]).status == "failed"
+            assert service.worker.wait(submitted["job_id"]).state == "failed"
             summary = service.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.5)
             assert [c["kind"] for c in summary["charges"]] == ["charge"]
@@ -183,7 +183,7 @@ class TestRefundWindow:
         try:
             submitted = _submit(service, service_csv, seed=7)
             job_id = submitted["job_id"]
-            assert service.worker.wait(job_id).status == "failed"
+            assert service.worker.wait(job_id).state == "failed"
             assert service.journal.has_stage_checkpoints(job_id)
             # Emulate the torn journal write: checkpoint on disk, record
             # claiming no stage was ever computed, job still in flight.
@@ -196,7 +196,7 @@ class TestRefundWindow:
         faults.configure("fit.correlation:raise::1")
         revived = _service(tmp_path / "data")
         try:
-            assert revived.worker.wait(job_id).status == "failed"
+            assert revived.worker.wait(job_id).state == "failed"
             summary = revived.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.5)
             assert [c["kind"] for c in summary["charges"]] == ["charge"]
@@ -216,7 +216,7 @@ class TestLedgerRetry:
         try:
             submitted = _submit(service, service_csv)
             job_id = submitted["job_id"]
-            assert service.worker.wait(job_id).status == "done"
+            assert service.worker.wait(job_id).state == "done"
             assert service.accountant.spent("ds") == pytest.approx(0.5)
             charges = [
                 entry
@@ -294,7 +294,7 @@ class TestHttpBackpressure:
             record.job_id for record in service.journal.list()
         }
         for job in (job1, job2):
-            assert service.worker.wait(job["job_id"]).status == "done"
+            assert service.worker.wait(job["job_id"]).state == "done"
 
     def test_cancel_a_queued_job_over_http(self, http_chaos):
         faults.configure("fit.margins:delay:0.5:1")
@@ -306,8 +306,8 @@ class TestHttpBackpressure:
             f"/fits/{queued['job_id']}/cancel", {}
         )
         assert status == 202
-        assert service.worker.wait(queued["job_id"]).status == "cancelled"
-        assert service.worker.wait(running["job_id"]).status == "done"
+        assert service.worker.wait(queued["job_id"]).state == "cancelled"
+        assert service.worker.wait(running["job_id"]).state == "done"
         # The cancelled job never charged the dataset.
         assert service.accountant.spent("ds") == pytest.approx(0.1)
         status, view = client.get(f"/fits/{queued['job_id']}")
@@ -328,7 +328,7 @@ class TestDrainAndRecover:
         faults.configure(None)
         revived = _service(tmp_path / "data")
         try:
-            assert revived.worker.wait(queued["job_id"]).status == "done"
+            assert revived.worker.wait(queued["job_id"]).state == "done"
             assert f"m-{queued['job_id']}" in revived.registry
             assert revived.job_status(running["job_id"])["status"] == "done"
             assert revived.accountant.spent("ds") == pytest.approx(0.2)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +87,67 @@ class TestCancellation:
     def test_unknown_job_is_not_cancelled(self, journal):
         assert not journal.cancel_requested("ghost")
 
+    def test_cancel_settles_a_queued_job_in_one_write(self, journal):
+        journal.create(_record())
+        record = journal.request_cancel("job1")
+        assert (record.state, record.cancel_requested) == ("cancelled", True)
+        assert record.finished_at is not None
+        assert journal.start("job1") is None
+        assert journal.load("job1").started_at is None
+
+    def test_cancel_of_a_running_job_only_sets_the_flag(self, journal):
+        journal.create(_record())
+        started = journal.start("job1")
+        assert (started.state, started.attempts) == ("running", 1)
+        record = journal.request_cancel("job1")
+        assert (record.state, record.cancel_requested) == ("running", True)
+        assert record.finished_at is None
+
+    def test_start_honors_a_pending_cancel_flag(self, journal):
+        journal.create(_record(cancel_requested=True))
+        assert journal.start("job1") is None
+        assert journal.load("job1").state == "cancelled"
+
+    def test_concurrent_cancel_and_start_never_both_take_effect(
+        self, journal, monkeypatch
+    ):
+        # Widen the read-to-write window: without the journal's lock,
+        # both threads would read the record while it is still queued.
+        read = journal.load
+
+        def slow_load(job_id):
+            record = read(job_id)
+            time.sleep(0.005)
+            return record
+
+        monkeypatch.setattr(journal, "load", slow_load)
+        for i in range(10):
+            job_id = f"race{i}"
+            journal.create(_record(job_id))
+            barrier = threading.Barrier(2, timeout=5.0)
+            started = []
+
+            def start():
+                barrier.wait()
+                started.append(journal.start(job_id))
+
+            def cancel():
+                barrier.wait()
+                journal.request_cancel(job_id)
+
+            threads = [threading.Thread(target=start), threading.Thread(target=cancel)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(5.0)
+                assert not thread.is_alive()
+            final = read(job_id)
+            assert final.cancel_requested
+            if started[0] is None:
+                assert (final.state, final.started_at) == ("cancelled", None)
+            else:
+                assert (final.state, final.finished_at) == ("running", None)
+
 
 class TestStageCheckpoints:
     def test_save_load_roundtrip(self, journal):
@@ -140,6 +203,21 @@ class TestRecovery:
         assert record.state == "voided"
         assert record.error == "dataset gone"
         assert journal.recoverable() == []
+
+    def test_void_stamps_finished_at(self, journal):
+        journal.create(_record())
+        assert journal.void("job1", "dataset gone").finished_at is not None
+
+    def test_records_without_timestamps_still_load(self, journal):
+        journal.create(_record(state="done"))
+        path = journal.directory / "job1.json"
+        payload = json.loads(path.read_text())
+        del payload["started_at"], payload["finished_at"]
+        path.write_text(json.dumps(payload))
+        record = journal.load("job1")
+        assert (record.state, record.started_at, record.finished_at) == (
+            "done", None, None
+        )
 
     def test_records_are_valid_json_on_disk(self, journal):
         journal.create(_record())

@@ -4,6 +4,8 @@ import concurrent.futures
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -72,6 +74,26 @@ class TestRouting:
         assert status == 400
         assert "hybrid" in body["error"]
 
+    def test_non_finite_k_rejected_400_without_charge(self, http_service, csv_text):
+        # 1e309 is valid JSON that parses to inf.
+        service, client = http_service
+        client.post("/datasets", {"dataset_id": "d", "csv": csv_text})
+        ledger = service.config.ledger_path
+        before = ledger.read_bytes() if ledger.exists() else None
+        request = urllib.request.Request(
+            client.base + "/fits",
+            data=b'{"dataset_id": "d", "epsilon": 1.0, "k": 1e309, "seed": 1}',
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "k must be a finite positive" in json.loads(error.read())["error"]
+        assert (ledger.read_bytes() if ledger.exists() else None) == before
+        assert service.list_jobs() == []
+
 
 class TestEndToEnd:
     def test_full_lifecycle_with_restart(self, tmp_path, csv_text):
@@ -133,9 +155,14 @@ class TestEndToEnd:
             assert status == 200
             assert [m["model_id"] for m in models["models"]] == [model_id]
             # Job history is durable: the finished job is still listed
-            # (from the journal), done, and was not refitted.
+            # (from the journal), done, and was not refitted.  Its
+            # document is the one served before the restart,
+            # timestamps included.
             status, jobs = client2.get("/fits")
             assert [j["status"] for j in jobs["jobs"]] == ["done"]
+            assert jobs["jobs"] == [job]
+            assert client2.get(f"/fits/{job['job_id']}") == (200, job)
+            assert job["submitted_at"] <= job["started_at"] <= job["finished_at"]
 
             status, sample = client2.post(
                 f"/models/{model_id}/sample", {"n": 50, "seed": 5}

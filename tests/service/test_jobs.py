@@ -14,61 +14,72 @@ from repro.service.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.service.jobs import FitCheckpoint, FitJob, FitWorker, JobStatus
+from repro.service.jobs import FitCheckpoint, FitWorker, job_document
+
+
+def _journaled(journal, job_id, **overrides):
+    """Journal a queued record for ``job_id`` and return it."""
+    fields = dict(job_id=job_id, dataset_id="d", method="kendall",
+                  epsilon=1.0, k=8.0, seed=1)
+    fields.update(overrides)
+    return journal.create(JobRecord(**fields))
+
+
+@pytest.fixture
+def journal(tmp_path):
+    return JobJournal(tmp_path / "jobs")
 
 
 class TestFitWorker:
-    def test_runs_jobs_in_order(self):
+    def test_runs_jobs_in_order(self, journal):
         finished = []
-        worker = FitWorker(lambda job: finished.append(job.job_id) or job.job_id)
+        worker = FitWorker(lambda job: finished.append(job.job_id) or job.job_id,
+                           journal)
         for i in range(3):
-            worker.submit(FitJob(job_id=f"j{i}", dataset_id="d", method="kendall",
-                                 epsilon=1.0, k=8.0))
+            worker.submit(_journaled(journal, f"j{i}"))
         last = worker.wait("j2", timeout=5.0)
-        assert last.status == JobStatus.DONE
+        assert last.state == "done"
         assert finished == ["j0", "j1", "j2"]
         worker.close()
 
-    def test_failure_recorded_and_worker_survives(self):
+    def test_failure_recorded_and_worker_survives(self, journal):
         def runner(job):
             if job.job_id == "bad":
                 raise RuntimeError("boom")
             return "model-ok"
 
-        worker = FitWorker(runner)
-        worker.submit(FitJob(job_id="bad", dataset_id="d", method="kendall",
-                             epsilon=1.0, k=8.0))
-        worker.submit(FitJob(job_id="good", dataset_id="d", method="kendall",
-                             epsilon=1.0, k=8.0))
+        worker = FitWorker(runner, journal)
+        worker.submit(_journaled(journal, "bad"))
+        worker.submit(_journaled(journal, "good"))
         bad = worker.wait("bad", timeout=5.0)
         good = worker.wait("good", timeout=5.0)
-        assert bad.status == JobStatus.FAILED
+        assert bad.state == "failed"
         assert "boom" in bad.error
-        assert good.status == JobStatus.DONE
+        assert good.state == "done"
         assert good.model_id == "model-ok"
         worker.close()
 
-    def test_unknown_job_raises(self):
-        worker = FitWorker(lambda job: "m")
+    def test_unknown_job_raises(self, journal):
+        worker = FitWorker(lambda job: "m", journal)
         with pytest.raises(KeyError):
-            worker.get("missing")
+            worker.wait("missing", timeout=1.0)
         worker.close()
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, journal):
         block = threading.Event()
-        worker = FitWorker(lambda job: block.wait(5) or "m")
-        job = FitJob(job_id="j", dataset_id="d", method="kendall", epsilon=1.0, k=8.0)
+        worker = FitWorker(lambda job: block.wait(5) or "m", journal)
+        job = _journaled(journal, "j")
         worker.submit(job)
         with pytest.raises(ValueError, match="already submitted"):
             worker.submit(job)
         block.set()
         worker.close()
 
-    def test_rejects_bad_pool_size(self):
+    def test_rejects_bad_pool_size(self, journal):
         with pytest.raises(ValueError, match="max_workers"):
-            FitWorker(lambda job: "m", max_workers=0)
+            FitWorker(lambda job: "m", journal, max_workers=0)
 
-    def test_pool_overlaps_jobs(self):
+    def test_pool_overlaps_jobs(self, journal):
         """With two workers, two blocking jobs run concurrently."""
         rendezvous = threading.Barrier(2, timeout=5.0)
 
@@ -76,46 +87,39 @@ class TestFitWorker:
             rendezvous.wait()  # deadlocks unless both jobs run at once
             return job.job_id
 
-        worker = FitWorker(runner, max_workers=2)
+        worker = FitWorker(runner, journal, max_workers=2)
         for i in range(2):
-            worker.submit(FitJob(job_id=f"p{i}", dataset_id="d",
-                                 method="kendall", epsilon=1.0, k=8.0))
-        assert worker.wait("p0", timeout=5.0).status == JobStatus.DONE
-        assert worker.wait("p1", timeout=5.0).status == JobStatus.DONE
+            worker.submit(_journaled(journal, f"p{i}"))
+        assert worker.wait("p0", timeout=5.0).state == "done"
+        assert worker.wait("p1", timeout=5.0).state == "done"
         worker.close()
 
-    def test_pool_drains_more_jobs_than_workers(self):
+    def test_pool_drains_more_jobs_than_workers(self, journal):
         done = []
         worker = FitWorker(lambda job: done.append(job.job_id) or job.job_id,
-                           max_workers=3)
+                           journal, max_workers=3)
         for i in range(10):
-            worker.submit(FitJob(job_id=f"q{i}", dataset_id="d",
-                                 method="kendall", epsilon=1.0, k=8.0))
+            worker.submit(_journaled(journal, f"q{i}"))
         for i in range(10):
-            assert worker.wait(f"q{i}", timeout=5.0).status == JobStatus.DONE
+            assert worker.wait(f"q{i}", timeout=5.0).state == "done"
         assert sorted(done) == sorted(f"q{i}" for i in range(10))
         worker.close()
 
 
-class _WatchedJob(FitJob):
-    """A job that snapshots its API document after every field write.
+class _WatchedJournal(JobJournal):
+    """A journal that reads back, as a job document, every record it writes.
 
-    Each snapshot is a state a concurrent ``GET /fits/<id>`` could
-    observe, so checking all of them covers every interleaving.  Each
-    also records the journaled state at that instant.
+    Each written record is a state a concurrent ``GET /fits/<id>`` could
+    observe, so checking all of them covers every interleaving.
     """
 
-    def __init__(self, *args, journal, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.__dict__["journal"] = journal
-        self.__dict__["documents"] = []
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.documents = []
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if "documents" in self.__dict__:
-            document = self.to_dict()
-            document["journal_state"] = self.journal.load(self.job_id).state
-            self.documents.append(document)
+    def _write(self, record):
+        super()._write(record)
+        self.documents.append(job_document(self.load(record.job_id)))
 
 
 def _raise(exc):
@@ -129,38 +133,37 @@ class TestJobDocument:
     @pytest.mark.parametrize(
         "runner, cancel_first, expected",
         [
-            (lambda job: "model-ok", False, JobStatus.DONE),
-            (_raise(RuntimeError("boom")), False, JobStatus.FAILED),
-            (_raise(DeadlineExceeded("late")), False, JobStatus.FAILED),
-            (_raise(JobCancelledError("stop")), False, JobStatus.CANCELLED),
-            (lambda job: "never-run", True, JobStatus.CANCELLED),
+            (lambda job: "model-ok", False, "done"),
+            (_raise(RuntimeError("boom")), False, "failed"),
+            (_raise(DeadlineExceeded("late")), False, "failed"),
+            (_raise(JobCancelledError("stop")), False, "cancelled"),
+            (lambda job: "never-run", True, "cancelled"),
         ],
         ids=["done", "failed", "deadline", "cancelled", "cancelled-before-start"],
     )
     def test_terminal_status_never_visible_before_finished_at(
         self, tmp_path, runner, cancel_first, expected
     ):
-        journal = JobJournal(tmp_path / "jobs")
-        journal.create(JobRecord(job_id="j", dataset_id="d", method="kendall",
-                                 epsilon=1.0, k=8.0, seed=1))
-        worker = FitWorker(runner, journal=journal)
-        job = _WatchedJob(job_id="j", dataset_id="d", method="kendall",
-                          epsilon=1.0, k=8.0, cancel_requested=cancel_first,
-                          journal=journal)
-        worker.submit(job)
-        assert worker.wait("j", timeout=5.0).status == expected
+        journal = _WatchedJournal(tmp_path / "jobs")
+        record = _journaled(journal, "j", cancel_requested=cancel_first)
+        worker = FitWorker(runner, journal)
+        worker.submit(record)
+        assert worker.wait("j", timeout=5.0).state == expected
         worker.close()
-        terminal = [
-            doc for doc in job.documents if doc["status"] in JobStatus.TERMINAL
-        ]
-        # The journal is written first, finished_at next, status last.
+        documents = journal.documents
         torn = [
-            doc for doc in terminal
-            if doc["finished_at"] is None or doc["journal_state"] != expected
+            doc for doc in documents
+            if (doc["status"] in ("done", "failed", "cancelled"))
+            != (doc["finished_at"] is not None)
+            or (doc["status"] == "running" and doc["started_at"] is None)
         ]
-        assert terminal and not torn, torn
-        assert job.documents[-1]["status"] == expected
-        assert job.documents[-1]["finished_at"] >= job.submitted_at
+        assert len(documents) >= 2 and not torn, torn
+        final = documents[-1]
+        assert final == job_document(journal.load("j"))
+        assert final["status"] == expected
+        assert final["finished_at"] >= record.submitted_at
+        if not cancel_first:
+            assert record.submitted_at <= final["started_at"] <= final["finished_at"]
 
 
 class TestFitCheckpoint:
@@ -220,7 +223,7 @@ class TestPooledService:
             ]
             for job in jobs:
                 finished = service.worker.wait(job["job_id"], timeout=60.0)
-                assert finished.status == JobStatus.DONE, finished.error
+                assert finished.state == "done", finished.error
             assert len(service.list_models()) == 3
             assert service.budget_summary("d1")["epsilon_spent"] == pytest.approx(1.5)
         finally:
@@ -263,6 +266,53 @@ class TestServiceCore:
         with pytest.raises(ValidationError):
             service.submit_fit({"dataset_id": "demo", "epsilon": -1.0})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"k": float("inf")},
+            {"k": float("nan")},
+            {"k": True},
+            {"epsilon": float("inf")},
+            {"epsilon": float("nan")},
+            {"epsilon": True},
+            {"seed": True},
+        ],
+        ids=["k-inf", "k-nan", "k-bool", "eps-inf", "eps-nan", "eps-bool",
+             "seed-bool"],
+    )
+    def test_fit_rejects_non_finite_and_boolean_numbers(
+        self, service, csv_text, bad
+    ):
+        service.upload_dataset("demo", csv_text)
+        ledger = service.config.ledger_path
+        before = ledger.read_bytes() if ledger.exists() else None
+        with pytest.raises(ValidationError):
+            service.submit_fit(
+                {"dataset_id": "demo", "epsilon": 1.0, "seed": 1, **bad}
+            )
+        assert (ledger.read_bytes() if ledger.exists() else None) == before
+        assert service.journal.list() == []
+
+    def test_recovered_non_finite_k_fails_without_charge(
+        self, tmp_path, csv_text
+    ):
+        config = ServiceConfig(data_dir=tmp_path / "data", epsilon_cap=3.0)
+        first = SynthesisService(config)
+        first.upload_dataset("demo", csv_text)
+        first.journal.create(JobRecord(job_id="inf-k", dataset_id="demo",
+                                       method="kendall", epsilon=1.0,
+                                       k=float("inf"), seed=1))
+        first.close()
+        revived = SynthesisService(config)
+        try:
+            record = revived.worker.wait("inf-k", timeout=60.0)
+            assert record.state == "failed"
+            assert "k must be a finite positive number" in record.error
+            assert revived.accountant.summary("demo")["epsilon_spent"] == 0.0
+            assert not config.ledger_path.exists()
+        finally:
+            revived.close()
+
     def test_fit_over_cap_fast_fails(self, service, csv_text):
         service.upload_dataset("demo", csv_text)
         with pytest.raises(BudgetRefusedError):
@@ -274,7 +324,7 @@ class TestServiceCore:
             {"dataset_id": "demo", "method": "kendall", "epsilon": 1.0, "seed": 0}
         )
         done = service.worker.wait(job["job_id"], timeout=60.0)
-        assert done.status == JobStatus.DONE
+        assert done.state == "done"
         result = service.sample(done.model_id, n=25, seed=1)
         assert result["n_records"] == 25
         assert result["privacy_cost"] == 0.0
@@ -288,3 +338,5 @@ class TestServiceCore:
             service.sample(record.model_id, n=0)
         with pytest.raises(ValidationError):
             service.sample(record.model_id, n=10, seed="not-an-int")
+        with pytest.raises(ValidationError):
+            service.sample(record.model_id, n=10, seed=True)

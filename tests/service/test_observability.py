@@ -86,7 +86,7 @@ class TestMetricsEndpoint:
         records_before = REGISTRY.get("dpcopula_sample_records_total").value()
 
         job = upload_and_fit(service, csv_text)
-        assert job.status == "done"
+        assert job.state == "done"
         service.sample(job.model_id, n=40, seed=3)
 
         status, text, _ = client.get_raw("/metrics")
@@ -157,7 +157,7 @@ class TestFailureObservability:
             job = service.submit_fit({"dataset_id": "failing", "epsilon": 0.5})
             finished = service.worker.wait(job["job_id"])
 
-        assert finished.status == "failed"
+        assert finished.state == "failed"
         assert finished.error == "RuntimeError: synthetic failure"
         assert errors.value(stage="fit_job") == errors_before + 1
         assert jobs.value(status="failed") == failed_before + 1
@@ -169,7 +169,7 @@ class TestFailureObservability:
 
     def test_registry_sidecar_records_fit_provenance(self, service, csv_text):
         job = upload_and_fit(service, csv_text, dataset_id="prov")
-        assert job.status == "done"
+        assert job.state == "done"
         record = service.registry.record(job.model_id)
         extra = record.extra
         assert extra["job_id"] == job.job_id

@@ -209,7 +209,7 @@ class TestServiceEndpoints:
     def test_budget_endpoint_replays_the_ledger(self, http_service, csv_text):
         service, client = http_service
         job = upload_and_fit(service, csv_text, dataset_id="budgeted")
-        assert job.status == "done"
+        assert job.state == "done"
         status, body = client.get("/budget")
         assert status == 200
         assert body["epsilon_cap"] == 3.0
@@ -231,7 +231,7 @@ class TestServiceEndpoints:
     def test_observatory_snapshot_shape(self, http_service, csv_text):
         service, client = http_service
         job = upload_and_fit(service, csv_text)
-        assert job.status == "done"
+        assert job.state == "done"
         service.probe.run_once()
         status, body = client.get("/debug/observatory")
         assert status == 200

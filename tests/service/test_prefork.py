@@ -402,7 +402,12 @@ class TestFollowerService:
                         break
                     time.sleep(0.1)
                 assert state == "done"
-                model_id = owner.job_status(view["job_id"])["model_id"]
+                document = owner.job_status(view["job_id"])
+                # Every worker serves the same document, timestamps included.
+                assert follower.job_status(view["job_id"]) == document
+                assert None not in (document["started_at"], document["finished_at"])
+                assert document["started_at"] <= document["finished_at"]
+                model_id = document["model_id"]
                 # The follower serves the owner-fitted model.
                 out = follower.sample(model_id, n=20, seed=4)
                 assert out["n_records"] == 20

@@ -38,9 +38,10 @@ import json
 import threading
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -143,16 +144,28 @@ class JobRecord:
 class JobJournal:
     """Filesystem journal of fit jobs under one directory.
 
-    All mutations go through a read-modify-write under a process lock
-    and land via atomic replace (temp file + fsync + ``os.replace``),
-    so a crash at any instant leaves either the old record or the new
-    record — never a torn one.
+    All mutations go through a read-modify-write under :meth:`_locked`
+    (a thread lock, then an ``fcntl.flock`` on ``<directory>/.lock``
+    shared by every process of a pre-fork fleet) and land via atomic
+    replace (temp file + fsync + ``os.replace``), so a crash at any
+    instant leaves either the old record or the new record — never a
+    torn one — and no process's write is lost to another's.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
+        # Outside list()'s ``*.json`` glob.
+        self.lock_path = self.directory / ".lock"
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """This process's threads, then every process: one writer at a time."""
+        from repro.service.config import interprocess_lock  # see _atomic_write_bytes
+
+        with self._lock, interprocess_lock(self.lock_path):
+            yield
 
     # -- paths ------------------------------------------------------------
 
@@ -165,7 +178,7 @@ class JobJournal:
     # -- lifecycle records ------------------------------------------------
 
     def create(self, record: JobRecord) -> JobRecord:
-        with self._lock:
+        with self._locked():
             path = self._record_path(record.job_id)
             if path.exists():
                 raise ValueError(f"job {record.job_id!r} already journaled")
@@ -181,7 +194,7 @@ class JobJournal:
 
     def update(self, job_id: str, **fields: Any) -> JobRecord:
         """Atomically apply ``fields`` to the record and persist it."""
-        with self._lock:
+        with self._locked():
             return self._save(self.load(job_id), **fields)
 
     def start(self, job_id: str) -> Optional[JobRecord]:
@@ -191,15 +204,15 @@ class JobJournal:
         run: it is no longer queued (a cancel got there first), or a
         cancel was requested while it waited, in which case it is
         cancelled here.  The state check and the write happen under the
-        journal's lock, so within one process a queued job is either
-        started or cancelled, never both.
+        journal's lock, so a queued job is either started or cancelled,
+        never both, whichever processes race to do it.
         """
-        with self._lock:
+        with self._locked():
             record = self.load(job_id)
             if record.state != "queued":
                 return None
             if record.cancel_requested:
-                self.request_cancel(job_id)
+                self._cancel(record)
                 return None
             return self._save(
                 record,
@@ -210,7 +223,7 @@ class JobJournal:
 
     def mark_stage_computed(self, job_id: str, stage: str) -> JobRecord:
         """Count a stage *computation* (checkpoint loads don't count)."""
-        with self._lock:
+        with self._locked():
             record = self.load(job_id)
             record.stage_computed[stage] = record.stage_computed.get(stage, 0) + 1
             return self._save(record)
@@ -232,7 +245,7 @@ class JobJournal:
 
     def delete(self, job_id: str) -> None:
         """Remove a record that never entered the queue (submit refused)."""
-        with self._lock:
+        with self._locked():
             try:
                 self._record_path(job_id).unlink()
             except FileNotFoundError:
@@ -264,16 +277,19 @@ class JobJournal:
         next stage boundary.  Finished jobs are left untouched (the flag
         is recorded but has no effect).
         """
-        with self._lock:
-            record = self.load(job_id)
-            fields: Dict[str, Any] = {"cancel_requested": True}
-            if record.state == "queued":
-                fields.update(
-                    state="cancelled",
-                    error="cancelled before start",
-                    finished_at=time.time(),
-                )
-            return self._save(record, **fields)
+        with self._locked():
+            return self._cancel(self.load(job_id))
+
+    def _cancel(self, record: JobRecord) -> JobRecord:
+        """:meth:`request_cancel`'s write (the journal's lock held)."""
+        fields: Dict[str, Any] = {"cancel_requested": True}
+        if record.state == "queued":
+            fields.update(
+                state="cancelled",
+                error="cancelled before start",
+                finished_at=time.time(),
+            )
+        return self._save(record, **fields)
 
     def cancel_requested(self, job_id: str) -> bool:
         try:

@@ -49,17 +49,11 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-try:  # pragma: no cover - always present on POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.dp.budget import BudgetExhaustedError, PrivacyBudget
-from repro.service.config import PathLike
+from repro.service.config import PathLike, interprocess_lock
 from repro.telemetry import get_logger, metrics
 from repro.utils import check_positive
 
@@ -160,30 +154,8 @@ class PrivacyAccountant:
         # consumed until it is repaired.
         self._offset = 0
         self._lineno = 0
-        with self._lock, self._interprocess_lock():
+        with self._lock, interprocess_lock(self.lock_path):
             self._catch_up_locked(startup=True)
-
-    @contextmanager
-    def _interprocess_lock(self):
-        """Exclusive ``fcntl.flock`` over the ledger's sidecar lock file.
-
-        Serializes appends, tail repairs and catch-up replay across
-        *processes* (the ``threading.Lock`` only covers this process).
-        Closing the descriptor releases the lock, so a crashed holder
-        can never wedge its siblings.  No-op where ``fcntl`` does not
-        exist (non-POSIX) — there the accountant is single-process
-        only, matching the pre-fork server's platform support.
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            yield
-            return
-        self.lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)
 
     def _maybe_refresh_locked(self) -> None:
         """Catch up on sibling appends iff the file grew (thread lock held).
@@ -197,7 +169,7 @@ class PrivacyAccountant:
         except (FileNotFoundError, OSError):
             return
         if size != self._offset:
-            with self._interprocess_lock():
+            with interprocess_lock(self.lock_path):
                 self._catch_up_locked()
 
     def _catch_up_locked(self, startup: bool = False) -> None:
@@ -376,7 +348,7 @@ class PrivacyAccountant:
         their job id here so re-execution never double-charges.
         """
         check_positive("epsilon", epsilon)
-        with self._lock, self._interprocess_lock():
+        with self._lock, interprocess_lock(self.lock_path):
             # Catch up on sibling processes' appends *inside* the flock:
             # the cap check below must see every charge any process has
             # journaled, or two workers could jointly overdraw it.
@@ -460,7 +432,7 @@ class PrivacyAccountant:
         :meth:`charge`, refunds are idempotent under ``key``.
         """
         check_positive("epsilon", epsilon)
-        with self._lock, self._interprocess_lock():
+        with self._lock, interprocess_lock(self.lock_path):
             self._catch_up_locked()
             if key is not None and key in self._keys:
                 return 0.0

@@ -162,9 +162,9 @@ class SynthesisService:
             config.models_dir, max_cached_models=config.model_cache_size
         )
         self.accountant = PrivacyAccountant(config.ledger_path, config.epsilon_cap)
-        # The sampling engine: compiled plans from the registry,
-        # concurrent requests coalesced into one vectorized draw
-        # (docs/PERFORMANCE.md).
+        # The sampling engine: compiled plans from the registry;
+        # concurrent requests may coalesce into one vectorized draw,
+        # though over HTTP they rarely do (docs/PERFORMANCE.md).
         self.engine = SamplingEngine(
             self.registry.get_plan,
             coalescer=RequestCoalescer(
@@ -182,6 +182,10 @@ class SynthesisService:
         )
         self._poller_stop = threading.Event()
         self._poller: Optional[threading.Thread] = None
+        # Held across journal-then-queue in submit_fit and across each
+        # adoption pass, so the poller never adopts a record that
+        # submit_fit is about to queue itself.
+        self._submit_lock = threading.Lock()
         self._jobs_dir_mtime: Optional[int] = None
         if config.is_fit_owner:
             self.worker: Optional[FitWorker] = FitWorker(
@@ -347,12 +351,13 @@ class SynthesisService:
             return job_document(record)
         # Journal before enqueueing so the worker can never observe an
         # unjournaled job; a queue-full refusal takes the record back.
-        self.journal.create(record)
-        try:
-            self.worker.submit(record)
-        except BaseException:
-            self.journal.delete(record.job_id)
-            raise
+        with self._submit_lock:
+            self.journal.create(record)
+            try:
+                self.worker.submit(record)
+            except BaseException:
+                self.journal.delete(record.job_id)
+                raise
         return job_document(record)
 
     def _recover_jobs(self) -> None:
@@ -404,16 +409,21 @@ class SynthesisService:
                 continue
             self._jobs_dir_mtime = mtime
             try:
-                for record in self.journal.list():
-                    if record.state != "queued" or self.worker.known(record.job_id):
-                        continue
-                    self.worker.submit(record, force=True)
-                    _logger.info(
-                        "adopted follower fit submission",
-                        extra={"job_id": record.job_id},
-                    )
+                self._adopt_follower_submissions()
             except Exception:  # pragma: no cover - defensive
                 _logger.exception("journal poll failed")
+
+    def _adopt_follower_submissions(self) -> None:
+        """One poll: queue every ``queued`` record this owner never accepted."""
+        with self._submit_lock:
+            for record in self.journal.list():
+                if record.state != "queued" or self.worker.known(record.job_id):
+                    continue
+                self.worker.submit(record, force=True)
+                _logger.info(
+                    "adopted follower fit submission",
+                    extra={"job_id": record.job_id},
+                )
 
     def _execute_fit(self, job: JobRecord) -> str:
         """Worker entry point: charge the ledger, fit, register.
@@ -591,9 +601,10 @@ class SynthesisService:
 
         Served by the sampling engine: the model's compiled
         :class:`~repro.engine.plan.SamplerPlan` does the per-model work
-        once, and concurrent requests coalesce into one vectorized draw
-        — bitwise identical per request to an uncoalesced serial draw,
-        so a seeded request always reproduces the same records.  Costs
+        once, and concurrent requests may coalesce into one vectorized
+        draw (rarely, over HTTP: docs/PERFORMANCE.md) — bitwise
+        identical per request to an uncoalesced serial draw, so a
+        seeded request always reproduces the same records.  Costs
         no privacy budget — this is post-processing of an
         already-released model.
         """

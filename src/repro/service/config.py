@@ -24,9 +24,15 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
+
+try:  # pragma: no cover - always present on POSIX
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None  # type: ignore[assignment]
 
 PathLike = Union[str, Path]
 
@@ -92,6 +98,29 @@ def fsync_directory(directory: Path) -> None:
         pass
     finally:
         os.close(dir_fd)
+
+
+@contextmanager
+def interprocess_lock(lock_path: Path) -> Iterator[None]:
+    """Exclusive ``fcntl.flock`` over ``lock_path`` (created if missing).
+
+    Serializes a critical section across *processes*; pair it with a
+    ``threading`` lock for this process's threads.  Not reentrant.
+    Closing the descriptor releases the lock, so a crashed holder can
+    never wedge its siblings.  No-op where ``fcntl`` does not exist
+    (non-POSIX): there the service is single-process only, matching
+    the pre-fork server's platform support.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX
+        yield
+        return
+    lock_path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,12 @@ engine overloaded (with a ``Retry-After`` header carrying the backoff
 hint in seconds).
 
 Sampling requests are served by the engine (:mod:`repro.engine`):
-concurrent requests against the same model coalesce into one vectorized
-draw, with per-request bitwise determinism — the thread-per-request
-model pairs naturally with the coalescer's leader/follower hand-off.
+concurrent requests against the same model may coalesce into one
+vectorized draw, with per-request bitwise determinism.  Over HTTP they
+rarely do: with two keep-alive clients sending 25-record requests at
+about 800-900 requests/s (2-vCPU VM), 0.2-0.4% of requests shared a
+batch (``coalesce.batched_share`` in the end-to-end benchmark's traced
+sample-small runs).
 
 Hardening: each connection runs under the config's
 ``request_timeout_seconds`` socket timeout, so a stalled client cannot
@@ -123,6 +126,9 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "dpcopula-synthesis"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket, so no write waits on the
+    # client's delayed ACK (the stdlib's send_error writes twice).
+    disable_nagle_algorithm = True
 
     # Set by build_server on the handler subclass.
     service: SynthesisService = None  # type: ignore[assignment]
@@ -141,18 +147,25 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(format, *args)
 
-    def _send_json(
+    def _send(
         self,
         status: int,
         payload: Any,
         extra_headers: Optional[dict] = None,
     ) -> None:
+        """Send ``payload`` (JSON, or :class:`PlainText` verbatim) in one write.
+
+        Headers and body in two writes would leave a small body waiting
+        on every keep-alive request for the client's delayed ACK of the
+        headers (Nagle's algorithm), about 40 ms.
+        """
         if isinstance(payload, PlainText):
-            self._send_text(status, payload)
-            return
-        body = json.dumps(payload).encode("utf-8")
+            body, content_type = payload.encode("utf-8"), payload.content_type
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json; charset=utf-8"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.worker_label is not None:
             self.send_header("X-DPCopula-Worker", self.worker_label)
@@ -160,23 +173,23 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             self.send_header("X-Request-ID", self._request_id)
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, payload: PlainText) -> None:
-        body = str(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", payload.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.worker_label is not None:
-            self.send_header("X-DPCopula-Worker", self.worker_label)
-        if self._request_id is not None:
-            self.send_header("X-Request-ID", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no headers: a bare body
+            self.wfile.write(body)
+            return
+        # end_headers() would send the buffered status line and headers
+        # in a write of their own; flush_headers() sends all of it.
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # Where this body ends, and so where the next request starts,
+            # is unknown: refuse before reading (``rfile.read(-1)`` would
+            # wait out the socket timeout) and close after the 400.
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length {header!r}")
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
@@ -272,7 +285,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
                         "seconds": round(elapsed, 6),
                     },
                 )
-                self._send_json(status, payload, extra_headers)
+                self._send(status, payload, extra_headers)
                 return
             if matched_path:
                 status, payload = 405, {
@@ -281,13 +294,15 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
             else:
                 status, payload = 404, {"error": f"no route for {method} {path}"}
             _REQUESTS_TOTAL.inc(method=method, route="<unrouted>", status=str(status))
-            self._send_json(status, payload)
+            self._send(status, payload)
 
     def do_GET(self) -> None:  # noqa: N802
-        self._dispatch("GET")
+        self._dispatch(self.command)
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
+    # PUT, DELETE and PATCH get the JSON 405 (known path) or 404 too,
+    # not the stdlib's HTML 501.  HEAD keeps the 501: a HEAD response
+    # has no body to carry a JSON error.
+    do_POST = do_PUT = do_DELETE = do_PATCH = do_GET
 
     # -- handlers ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
 
@@ -16,6 +17,28 @@ from repro.resilience.journal import JobJournal, JobRecord
 @pytest.fixture
 def journal(tmp_path) -> JobJournal:
     return JobJournal(tmp_path / "jobs")
+
+
+def _race(directory, action, job_ids, barrier, results) -> None:
+    """One process's side of a race: ``start`` or cancel each job.
+
+    Reads take 5 ms longer, widening every read-to-write window.
+    """
+    journal = JobJournal(directory)
+    read = journal.load
+
+    def slow_load(job_id):
+        record = read(job_id)
+        time.sleep(0.005)
+        return record
+
+    journal.load = slow_load
+    for job_id in job_ids:
+        barrier.wait()
+        if action == "start":
+            results.put((job_id, journal.start(job_id) is not None))
+        else:
+            journal.request_cancel(job_id)
 
 
 def _record(job_id="job1", **overrides) -> JobRecord:
@@ -147,6 +170,39 @@ class TestCancellation:
                 assert (final.state, final.started_at) == ("cancelled", None)
             else:
                 assert (final.state, final.finished_at) == ("running", None)
+
+    def test_cancel_and_start_in_two_processes_never_lose_a_write(self, tmp_path):
+        # Two pre-fork workers, each with its own journal over one
+        # directory: the fit owner starts a queued job while a follower
+        # cancels it.  Only the two serial outcomes may ever appear.
+        directory = tmp_path / "jobs"
+        journal = JobJournal(directory)
+        job_ids = [f"race{i}" for i in range(12)]
+        for job_id in job_ids:
+            journal.create(_record(job_id))
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2, timeout=60.0)
+        results = context.Queue()
+        sides = [
+            context.Process(
+                target=_race, args=(directory, action, job_ids, barrier, results)
+            )
+            for action in ("start", "cancel")
+        ]
+        for side in sides:
+            side.start()
+        started = dict(results.get(timeout=120.0) for _ in job_ids)
+        for side in sides:
+            side.join(30.0)
+            assert not side.is_alive()
+            assert side.exitcode == 0
+        for job_id in job_ids:
+            final = journal.load(job_id)
+            assert final.cancel_requested
+            if started[job_id]:
+                assert (final.state, final.finished_at) == ("running", None)
+            else:
+                assert (final.state, final.started_at) == ("cancelled", None)
 
 
 class TestStageCheckpoints:

@@ -44,6 +44,7 @@ class ServiceClient:
     """Minimal JSON client for a running synthesis server."""
 
     def __init__(self, port: int):
+        self.port = port
         self.base = f"http://127.0.0.1:{port}"
 
     def request(self, method: str, path: str, body=None, headers=None):

@@ -1,7 +1,10 @@
 """End-to-end and concurrency tests for the HTTP synthesis API."""
 
 import concurrent.futures
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.service import ServiceConfig, SynthesisService, build_server
+from repro.service.errors import QueueFullError
 
 from tests.service.conftest import ServiceClient
 
@@ -24,6 +28,16 @@ def poll_job(client, job_id, timeout=60.0):
             return job
         time.sleep(0.05)
     raise TimeoutError(f"job {job_id} did not finish")
+
+
+def raw_exchange(port, request: bytes, timeout=10.0) -> bytes:
+    """Send raw request bytes; return everything read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
 
 
 class TestRouting:
@@ -43,6 +57,41 @@ class TestRouting:
         _, client = http_service
         status, _ = client.post("/health")
         assert status == 405
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    @pytest.mark.parametrize(
+        "path, expected", [("/health", 405), ("/models/m1", 405), ("/nope", 404)]
+    )
+    def test_every_method_gets_a_json_error(self, http_service, method, path, expected):
+        _, client = http_service
+        status, body = client.request(method, path)
+        assert status == expected
+        assert method in body["error"]
+
+    def test_head_keeps_the_stdlib_501(self, http_service):
+        _, client = http_service
+        connection = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
+        try:
+            connection.request("HEAD", "/health")
+            assert connection.getresponse().status == 501
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_invalid_content_length_400_at_once_and_closed(self, http_service, length):
+        # Reading a body of length -1 would wait out the socket
+        # timeout (30 s by default).
+        service, client = http_service
+        started = time.monotonic()
+        response = raw_exchange(
+            client.port,
+            f"POST /fits HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert time.monotonic() - started < 5.0
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert service.list_jobs() == []
 
     def test_unknown_model_404(self, http_service):
         _, client = http_service
@@ -187,6 +236,108 @@ class TestEndToEnd:
         status, body = client.post("/fits", {"dataset_id": "d", "epsilon": 2.0})
         assert status == 409
         assert "cap" in body["error"]
+
+
+class _WriteLog:
+    """A handler's ``wfile`` that records each write before making it."""
+
+    def __init__(self, wfile, writes):
+        self._wfile, self._writes = wfile, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+class TestTransport:
+    """Responses leave in one write on a TCP_NODELAY socket.
+
+    Headers and body in two writes meet Nagle's algorithm and the
+    client's delayed ACK: every small keep-alive response then takes
+    about 40 ms.  ``ServiceClient`` opens a connection per request, so
+    these tests hold one ``http.client`` connection open instead.
+    """
+
+    @staticmethod
+    def _timed(connection, method, path, body=None):
+        started = time.perf_counter()
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        return time.perf_counter() - started
+
+    def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(
+        self, http_service, released_model
+    ):
+        service, client = http_service
+        model_id = service.registry.put(
+            released_model, dataset_id="d", method="kendall"
+        ).model_id
+        connection = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
+        try:
+            health = [self._timed(connection, "GET", "/health") for _ in range(20)]
+            sample = json.dumps({"n": 25, "seed": 1})
+            samples = [
+                self._timed(connection, "POST", f"/models/{model_id}/sample", sample)
+                for _ in range(20)
+            ]
+        finally:
+            connection.close()
+        assert statistics.median(health) < 0.020
+        assert statistics.median(samples) < 0.020
+
+    def test_each_response_is_one_write_on_a_nodelay_socket(
+        self, service, monkeypatch
+    ):
+        server = build_server(service)
+        writes, nodelay = [], []
+
+        class Recording(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+                self.wfile = _WriteLog(self.wfile, writes)
+
+        server.RequestHandlerClass = Recording
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+
+        def busy():
+            raise QueueFullError("busy", retry_after=2.5)
+
+        monkeypatch.setattr(service, "list_models", busy)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            for method, path, status, content_type in [
+                ("GET", "/health", 200, "application/json"),
+                ("GET", "/metrics", 200, "text/plain"),
+                ("GET", "/nope", 404, "application/json"),
+                ("POST", "/health", 405, "application/json"),
+                ("GET", "/models", 429, "application/json"),
+            ]:
+                writes.clear()
+                connection.request(method, path, body=b"" if method == "POST" else None)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == status
+                assert response.getheader("Content-Type").startswith(content_type)
+                assert len(writes) == 1, (path, writes)
+                assert writes[0].startswith(f"HTTP/1.1 {status} ".encode())
+                assert writes[0].endswith(b"\r\n\r\n" + body)
+            assert response.getheader("Retry-After") == "2.5"
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+        # One keep-alive connection, accepted once, with Nagle off.
+        assert len(nodelay) == 1 and nodelay[0] != 0
 
 
 class TestConcurrentSampling:

@@ -34,6 +34,8 @@ from repro.service import (
 from repro.service.errors import QueueFullError
 from repro.service.prefork import WORKERS_ENV_VAR
 
+from tests.service.conftest import ServiceClient
+
 
 def _fit_release(dataset, seed: int = 0) -> ReleasedModel:
     synthesizer = DPCopulaKendall(epsilon=1.0, rng=seed)
@@ -415,6 +417,47 @@ class TestFollowerService:
                 owner.close()
         finally:
             follower.close()
+
+    def test_owner_poller_leaves_a_half_submitted_fit_to_submit_fit(
+        self, tmp_path, csv_text, monkeypatch
+    ):
+        # An adoption pass runs between the owner's own journal write and
+        # its queueing of the job.  Adopting the record there would make
+        # submit_fit's queueing fail: a 500, a deleted record, and a
+        # queued job id that no record points to.
+        owner_cfg, _ = self._configs(tmp_path)
+        owner = SynthesisService(owner_cfg)
+        server = build_server(owner)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        adopters = []
+        create = owner.journal.create
+
+        def create_then_adopt(record):
+            create(record)
+            adopter = threading.Thread(target=owner._adopt_follower_submissions)
+            adopter.start()
+            adopter.join(0.5)  # returns at once unless the pass must wait
+            adopters.append(adopter)
+            return record
+
+        try:
+            owner.upload_dataset("d1", csv_text)
+            monkeypatch.setattr(owner.journal, "create", create_then_adopt)
+            client = ServiceClient(server.server_address[1])
+            status, job = client.post(
+                "/fits", {"dataset_id": "d1", "epsilon": 0.5, "seed": 3}
+            )
+            assert status == 202, job
+            adopters[0].join(10.0)
+            assert not adopters[0].is_alive()
+            assert owner.worker.wait(job["job_id"]).state == "done"
+            ledger = owner.config.ledger_path.read_text().splitlines()
+            keys = [json.loads(line).get("key") for line in ledger]
+            assert keys.count(f"fit:{job['job_id']}") == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            owner.close()
 
     def test_follower_enforces_queue_bound(self, tmp_path, csv_text):
         _, follower_cfg = self._configs(tmp_path, max_queued_fits=1)

@@ -12,9 +12,13 @@ attributes, n=100k records):
     (re-implemented locally) so the perf trajectory always measures
     against the same fixed reference.
 ``serial_optimized`` / ``thread`` / ``process``
-    Today's :func:`kendall_tau_matrix` — cached per-column rank codings
-    plus the compiled pair kernel — run through each
-    :class:`~repro.parallel.ExecutionContext` backend.
+    Today's :func:`kendall_tau_matrix` — per-column rank codings plus
+    two exact pair kernels (a joint count table when the pair spans
+    ``d_x·d_y ≤ 4n`` cells, scipy's compiled merge sort otherwise) — run
+    through each :class:`~repro.parallel.ExecutionContext` backend.  At
+    the full n=100k every pair takes the table; at the smoke's n=20k the
+    pairs of two 500-value columns take the merge and the rest the
+    table, so the smoke's bitwise check covers both kernels.
 
 Besides wall-clock, the run *verifies* the two contracts the layer
 makes: every backend's matrix is bitwise identical, and the optimized
@@ -111,7 +115,8 @@ def run(args) -> dict:
             "seconds": seconds,
             "speedup_vs_serial": results["serial"]["seconds"] / seconds,
             "implementation": (
-                f"rank-code cache + compiled pair kernel ({context.backend} backend)"
+                f"rank codes + count-table/merge pair kernels "
+                f"({context.backend} backend)"
             ),
         }
         print(

@@ -90,7 +90,9 @@ def run(args) -> dict:
 
     results = {}
     determinism = {}
-    repeats = max(args.repeats, 5) if args.smoke else args.repeats
+    # The smoke's 3% gate needs about 1 s of timed CPU per backend to
+    # resolve: at m=8, n=20k one call takes ~20-25 ms, so 21 rounds.
+    repeats = max(args.repeats, 21) if args.smoke else args.repeats
     for name, context in backends.items():
         # Paired rounds, overhead = median per-round ratio of *process
         # CPU time*: wall-clock on a shared single-core box measures

@@ -4,8 +4,9 @@ Every hot path that fans out over an ExecutionContext must produce
 *identical* output on every backend for a fixed seed — parallelism is a
 scheduling decision, never a statistical one.  These tests pin that
 contract end-to-end for the four wired paths (Kendall matrix, hybrid
-synthesis, per-block MLE, repeated-run evaluation) plus the fast matrix
-kernel's exact equivalence with the reference implementations.
+synthesis, per-block MLE, repeated-run evaluation) plus the exact
+equivalence of both fast matrix kernels (count table and merge) with the
+reference implementations.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.data.dataset import Attribute, Dataset, Schema
 from repro.experiments.runner import average_evaluation, make_method
 from repro.parallel import ExecutionContext
 from repro.queries.range_query import random_workload
+from repro.stats import kendall
 from repro.stats.ecdf import HistogramCDF
 from repro.stats.kendall import (
     kendall_tau_matrix,
@@ -64,6 +66,18 @@ class TestBackendEquivalence:
     def test_kendall_tau_matrix(self):
         rng = np.random.default_rng(0)
         values = rng.integers(0, 40, size=(300, 6)).astype(float)
+        matrices = [
+            kendall_tau_matrix(values, context=context) for context in BACKENDS
+        ]
+        assert _all_equal(matrices)
+
+    def test_kendall_tau_matrix_mixed_domains(self):
+        # 300 records put the kernel boundary at 1 200 cells: the 3×3,
+        # 3×40 and 3×300 pairs take the count-table kernel and the rest
+        # the merge kernel, so every backend runs both.
+        rng = np.random.default_rng(0)
+        domains = (3, 40, 300) * 2
+        values = rng.integers(0, domains, size=(300, 6)).astype(float)
         matrices = [
             kendall_tau_matrix(values, context=context) for context in BACKENDS
         ]
@@ -139,17 +153,37 @@ class TestFastKernelExactness:
         ).astype(float)
         fast = kendall_tau_matrix(values, method="merge")
         naive = kendall_tau_matrix(values, method="naive")
-        assert np.allclose(fast, naive, atol=1e-12)
+        assert np.array_equal(fast, naive)
 
-    @pytest.mark.parametrize("domains", [(2, 2), (5, 500), (1000, 1000)])
-    def test_matches_merge_bitwise(self, domains):
+    @pytest.mark.parametrize(
+        "domains, n, offset, kernel",
+        [
+            ((2, 2), 1000, 0.0, "table"),
+            ((5, 500), 1000, 0.0, "table"),
+            ((1000, 1000), 1000, 0.0, "merge"),
+            # 44·91 = 4n cells: the largest pair the table kernel takes.
+            ((44, 91), 1001, 0.0, "table"),
+            # 45·89 = 4n + 1 cells: the smallest pair the merge kernel takes.
+            ((45, 89), 1001, 0.0, "merge"),
+            ((10, 15), 1000, -20.5, "table"),  # negative, non-integer values
+        ],
+        ids=["domains0", "domains1", "domains2", "4n", "4n+1", "negative"],
+    )
+    def test_matches_merge_bitwise(self, monkeypatch, domains, n, offset, kernel):
         rng = np.random.default_rng(sum(domains))
-        n = 1000
-        values = np.column_stack(
+        values = offset + np.column_stack(
             [rng.integers(0, d, n) for d in domains]
         ).astype(float)
+        tables = []
+        table_kernel = kendall._tau_a_from_table
+        monkeypatch.setattr(
+            kendall,
+            "_tau_a_from_table",
+            lambda *args: tables.append(args) or table_kernel(*args),
+        )
         fast = kendall_tau_matrix(values)
         assert fast[0, 1] == kendall_tau_merge(values[:, 0], values[:, 1])
+        assert bool(tables) == (kernel == "table")
 
     def test_constant_column_yields_zero(self):
         values = np.column_stack([np.zeros(50), np.arange(50)]).astype(float)
@@ -158,9 +192,10 @@ class TestFastKernelExactness:
 
     def test_rank_codes_preserve_tie_structure(self):
         column = np.array([3.5, -1.0, 3.5, 2.0, -1.0])
-        codes, tied = rank_code_columns(column[:, None])
+        codes, tied, sizes = rank_code_columns(column[:, None])
         assert codes[0].tolist() == [2, 0, 2, 1, 0]
         assert tied == [2]  # two tied pairs: the 3.5s and the -1.0s
+        assert sizes == [3]
 
 
 class TestSamplingVectorization:

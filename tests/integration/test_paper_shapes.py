@@ -98,16 +98,18 @@ class TestFigure9Shape:
 
 class TestFigure11Shape:
     def test_fit_time_grows_with_cardinality(self):
+        # Publishing two 128-value margins costs ~0.2 s whatever n is, so
+        # the larger n must add more than the run-to-run noise of that.
         method = make_method("dpcopula-kendall", subsample=None)
         seconds = {}
-        for n in (1000, 16_000):
+        for n in (1000, 256_000):
             data = _data(2, n, 128, seed=14)
             workload = random_workload(data.schema, 5, rng=15)
             timed = average_evaluation(
                 method, data, workload, epsilon=1.0, n_runs=2, rng=16
             )
             seconds[n] = timed.fit_seconds
-        assert seconds[16_000] > seconds[1000]
+        assert seconds[256_000] > seconds[1000]
 
     def test_subsampling_makes_correlation_time_flat_in_n(self):
         """The Section 4.2 sampling optimisation: with a fixed n̂ the

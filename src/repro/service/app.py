@@ -137,8 +137,13 @@ def _positive_number(name: str, value: Any) -> float:
 
 
 def _check_seed(seed: Any) -> None:
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValidationError("seed must be an integer or null")
+    """A 400 unless ``seed`` is null or an int ``np.random.default_rng`` takes."""
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise ValidationError(
+            f"seed must be a non-negative integer or null, got {seed!r}"
+        )
 
 
 class SynthesisService:
@@ -606,7 +611,9 @@ class SynthesisService:
         identical per request to an uncoalesced serial draw, so a
         seeded request always reproduces the same records.  Costs
         no privacy budget — this is post-processing of an
-        already-released model.
+        already-released model.  ``records`` is a list of rows, or
+        their JSON text as ``JSONBytes`` for large samples (see
+        :func:`~repro.service.serializers.dataset_to_rows`).
         """
         try:
             record = self.registry.record(model_id)

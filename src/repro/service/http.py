@@ -38,6 +38,13 @@ budget refused, 405 wrong method, 429 fit queue full *or* sampling
 engine overloaded (with a ``Retry-After`` header carrying the backoff
 hint in seconds).
 
+Every JSON body is what ``json.dumps`` gives for the document, with
+default separators.  For a sample of at least
+:data:`~repro.service.serializers.RECORDS_JSON_MIN_CELLS` cells the
+service hands over ``records`` already encoded from the int64 matrix
+(:class:`~repro.service.serializers.JSONBytes`), and ``json.dumps``
+encodes only the rest of the document around it.
+
 Sampling requests are served by the engine (:mod:`repro.engine`):
 concurrent requests against the same model may coalesce into one
 vectorized draw, with per-request bitwise determinism.  Over HTTP they
@@ -66,6 +73,7 @@ from typing import Any, Optional, Tuple
 from repro.dp.budget import BudgetExhaustedError
 from repro.service.app import SynthesisService
 from repro.service.errors import ServiceError
+from repro.service.serializers import JSONBytes
 from repro.telemetry import bind_context, get_logger, metrics, trace
 
 __all__ = ["build_server", "SynthesisRequestHandler"]
@@ -98,6 +106,38 @@ class PlainText(str):
     """Handler return type that is sent verbatim instead of JSON-encoded."""
 
     content_type = "text/plain; version=0.0.4; charset=utf-8"
+
+
+#: Holds a :class:`JSONBytes` value's place while ``json.dumps`` encodes
+#: the rest of its document.
+_SLOT = "\0JSONBytes\0"
+_SLOT_JSON = json.dumps(_SLOT).encode("ascii")
+
+
+def _json_body(document: Any) -> bytes:
+    """``json.dumps(document)`` as UTF-8 bytes, splicing in :class:`JSONBytes`.
+
+    Each ``JSONBytes`` value of a top-level dict goes into the body as
+    it is, in one ``json.dumps`` of the rest of the document.  Should a
+    client's string contain the slot text, the raw values are decoded
+    and the document encoded whole instead: the body is the same.
+    """
+    if isinstance(document, dict):
+        raw = [value for value in document.values() if isinstance(value, JSONBytes)]
+        if raw:
+            rest = {
+                key: _SLOT if isinstance(value, JSONBytes) else value
+                for key, value in document.items()
+            }
+            pieces = json.dumps(rest).encode("utf-8").split(_SLOT_JSON)
+            if len(pieces) == len(raw) + 1:
+                spliced = [piece for pair in zip(pieces, raw) for piece in pair]
+                return b"".join(spliced) + pieces[-1]
+            document = {
+                key: json.loads(value) if isinstance(value, JSONBytes) else value
+                for key, value in document.items()
+            }
+    return json.dumps(document).encode("utf-8")
 
 
 _ID = r"(?P<id>[A-Za-z0-9._-]+)"
@@ -155,14 +195,17 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         """Send ``payload`` (JSON, or :class:`PlainText` verbatim) in one write.
 
-        Headers and body in two writes would leave a small body waiting
-        on every keep-alive request for the client's delayed ACK of the
-        headers (Nagle's algorithm), about 40 ms.
+        A JSON payload's top-level :class:`JSONBytes` values (a large
+        sample's ``records``) are spliced into the ``json.dumps`` of the
+        rest, so the body is byte-identical to encoding their decoded
+        value.  Headers and body in two writes would leave a small body
+        waiting on every keep-alive request for the client's delayed ACK
+        of the headers (Nagle's algorithm), about 40 ms.
         """
         if isinstance(payload, PlainText):
             body, content_type = payload.encode("utf-8"), payload.content_type
         else:
-            body = json.dumps(payload).encode("utf-8")
+            body = _json_body(payload)
             content_type = "application/json; charset=utf-8"
         self.send_response(status)
         self.send_header("Content-Type", content_type)

@@ -13,8 +13,17 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.service import ServiceConfig, SynthesisService, build_server
+from repro.service import (
+    ModelRegistry,
+    PreforkServer,
+    ServiceConfig,
+    SynthesisService,
+    build_server,
+    resolve_worker_count,
+)
 from repro.service.errors import QueueFullError
+from repro.service.http import _SLOT, _json_body
+from repro.service.serializers import RECORDS_JSON_MIN_CELLS, records_json
 
 from tests.service.conftest import ServiceClient
 
@@ -142,6 +151,30 @@ class TestRouting:
             assert "k must be a finite positive" in json.loads(error.read())["error"]
         assert (ledger.read_bytes() if ledger.exists() else None) == before
         assert service.list_jobs() == []
+
+    def test_negative_seed_sample_400(self, http_service, released_model):
+        # np.random.default_rng(-1) raises ValueError: a 500 before.
+        service, client = http_service
+        model_id = service.registry.put(
+            released_model, dataset_id="d", method="kendall"
+        ).model_id
+        status, body = client.post(f"/models/{model_id}/sample", {"n": 5, "seed": -1})
+        assert status == 400
+        assert "non-negative" in body["error"]
+
+    def test_negative_seed_fit_400_without_job_or_charge(self, http_service, csv_text):
+        # Accepted before, the job then failed in default_rng.
+        service, client = http_service
+        client.post("/datasets", {"dataset_id": "d", "csv": csv_text})
+        ledger = service.config.ledger_path
+        before = ledger.read_bytes() if ledger.exists() else None
+        status, body = client.post(
+            "/fits", {"dataset_id": "d", "epsilon": 1.0, "seed": -7}
+        )
+        assert status == 400
+        assert "non-negative" in body["error"]
+        assert client.get("/fits") == (200, {"jobs": []})
+        assert (ledger.read_bytes() if ledger.exists() else None) == before
 
 
 class TestEndToEnd:
@@ -338,6 +371,81 @@ class TestTransport:
             server.server_close()
         # One keep-alive connection, accepted once, with Nagle off.
         assert len(nodelay) == 1 and nodelay[0] != 0
+
+
+class TestSampleBody:
+    """A sample response's body, byte for byte, on both encoding paths."""
+
+    @pytest.fixture
+    def served_model(self, tmp_path, released_model):
+        """(port, model record) of a server holding ``released_model``.
+
+        A pre-fork fleet when ``DPCOPULA_WORKERS`` asks for more than one
+        worker, else one in-thread server.
+        """
+        config = ServiceConfig(
+            data_dir=tmp_path / "data", epsilon_cap=3.0, workers=resolve_worker_count()
+        )
+        config.ensure_layout()
+        record = ModelRegistry(config.models_dir).put(
+            released_model, dataset_id="d", method="kendall"
+        )
+        if config.workers > 1:
+            supervisor = PreforkServer(config, port=0, quiet=True)
+            try:
+                supervisor.start(timeout=90)
+                yield supervisor.port, record
+            finally:
+                supervisor.stop()
+            return
+        service = SynthesisService(config)
+        server = build_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            yield server.server_address[1], record
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_body_equals_json_dumps_of_the_record_lists(
+        self, served_model, released_model
+    ):
+        port, record = served_model
+        m = released_model.schema.dimensions
+        assert 25 * m < RECORDS_JSON_MIN_CELLS <= 10_000 * m
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            for n, seed in [(1, 3), (25, 4), (10_000, 5)]:
+                connection.request(
+                    "POST",
+                    f"/models/{record.model_id}/sample",
+                    body=json.dumps({"n": n, "seed": seed}),
+                )
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                expected = released_model.sample(n, rng=np.random.default_rng(seed))
+                document = {
+                    "columns": released_model.schema.names,
+                    "records": expected.values.tolist(),
+                    "n_records": n,
+                    "model_id": record.model_id,
+                    "dataset_id": "d",
+                    "epsilon": record.epsilon,
+                    "seed": seed,
+                    "privacy_cost": 0.0,
+                }
+                assert body == json.dumps(document).encode("utf-8"), n
+        finally:
+            connection.close()
+
+    def test_slot_text_in_a_client_string_still_encodes_exactly(self):
+        values = np.arange(12, dtype=np.int64).reshape(4, 3)
+        for columns in (["a", "b", "c"], [_SLOT, "b", f"x{_SLOT}y"]):
+            document = {"columns": columns, "records": records_json(values)}
+            expected = {"columns": columns, "records": values.tolist()}
+            assert _json_body(document) == json.dumps(expected).encode("utf-8")
 
 
 class TestConcurrentSampling:

@@ -340,3 +340,5 @@ class TestServiceCore:
             service.sample(record.model_id, n=10, seed="not-an-int")
         with pytest.raises(ValidationError):
             service.sample(record.model_id, n=10, seed=True)
+        with pytest.raises(ValidationError):
+            service.sample(record.model_id, n=10, seed=-1)

@@ -6,6 +6,7 @@ per-request determinism under concurrency, the overload → 429 mapping,
 and the cache-bound configuration knob.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from repro.engine import EngineOverloadedError
 from repro.service import ServiceConfig, SynthesisService
 from repro.service.errors import QueueFullError
+from repro.service.serializers import RECORDS_JSON_MIN_CELLS
 
 
 @pytest.fixture
@@ -26,11 +28,21 @@ def service_with_model(service, released_model):
 
 class TestDeterminism:
     def test_seeded_response_matches_pre_engine_path(self, service_with_model):
-        """A seeded request reproduces the pre-engine serve output exactly."""
+        """A seeded request reproduces the pre-engine serve output exactly.
+
+        From ``RECORDS_JSON_MIN_CELLS`` cells up the records arrive as
+        JSON bytes, compared with the list's encoding byte for byte.
+        """
         service, model_id, released_model = service_with_model
-        expected = released_model.sample(120, rng=np.random.default_rng(42))
-        response = service.sample(model_id, n=120, seed=42)
-        assert response["records"] == expected.values.tolist()
+        m = released_model.schema.dimensions
+        assert 120 * m < RECORDS_JSON_MIN_CELLS <= 10_000 * m
+        for n in (120, 10_000):
+            expected = released_model.sample(n, rng=np.random.default_rng(42)).values
+            records = service.sample(model_id, n=n, seed=42)["records"]
+            if expected.size >= RECORDS_JSON_MIN_CELLS:
+                assert records == json.dumps(expected.tolist()).encode("utf-8")
+            else:
+                assert records == expected.tolist()
 
     def test_concurrent_seeded_requests_bitwise_stable(self, service_with_model):
         """Same seed, same records — regardless of coalescing with peers."""

@@ -26,8 +26,11 @@ where the per-model work the engine eliminates dominates wall-clock:
     one shared margin-inversion pass.
 
 Besides throughput, the run *verifies* the engine's bitwise contract:
-every plan-served request equals the pre-engine path bit for bit, and
-every coalesced request equals its serial draw bit for bit.  Results
+every plan-served request equals the pre-engine path bit for bit (by
+construction now that ``ReleasedModel.sample`` draws through a plan of
+its own; ``tests/core/test_sampling.py`` holds every entry point to an
+independent reference), and every coalesced request equals its serial
+draw bit for bit.  Results
 land in ``BENCH_sampling.json`` — the perf-trajectory ledger for the
 serve hot path.
 

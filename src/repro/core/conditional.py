@@ -22,6 +22,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 from scipy import stats as sps
 
+from repro.core.sampling import BatchedMarginInverter, sample_synthetic
 from repro.data.dataset import Dataset, Schema
 from repro.stats.copula_math import cholesky_factor
 from repro.stats.ecdf import HistogramCDF
@@ -111,15 +112,12 @@ class ConditionalCopulaSampler:
         free_indices = [j for j in range(m) if j not in set(fixed_indices)]
 
         if not fixed_indices:
-            from repro.core.sampling import sample_synthetic
-
             return sample_synthetic(
                 self.correlation, self.margins, n, self.schema, rng=gen
             )
+        ordered = np.empty((n, m), dtype=np.int64)
+        ordered[:, fixed_indices] = fixed_values
         if not free_indices:
-            values = np.tile(np.asarray(fixed_values, dtype=np.int64), (n, 1))
-            ordered = np.empty((n, m), dtype=np.int64)
-            ordered[:, fixed_indices] = values
             return Dataset(ordered, self.schema)
 
         a = np.asarray(fixed_indices)
@@ -142,11 +140,6 @@ class ConditionalCopulaSampler:
             conditional_mean[None, :]
             + gen.standard_normal((n, b.size)) @ cholesky.T
         )
-        uniforms = sps.norm.cdf(latent_free)
-
-        ordered = np.empty((n, m), dtype=np.int64)
-        for position, j in enumerate(fixed_indices):
-            ordered[:, j] = fixed_values[position]
-        for position, j in enumerate(free_indices):
-            ordered[:, j] = self.margins[j].inverse(uniforms[:, position])
+        inverter = BatchedMarginInverter([self.margins[j] for j in free_indices])
+        ordered[:, free_indices] = inverter(sps.norm.cdf(latent_free))
         return Dataset(ordered, self.schema)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as sps
 
+from repro.core.sampling import BatchedMarginInverter, sample_synthetic
 from repro.stats.copula_math import cholesky_factor
 from repro.stats.correlation import correlation_from_tau
 from repro.stats.ecdf import HistogramCDF, pseudo_copula_transform
@@ -30,8 +31,9 @@ class GaussianCopulaModel:
     """Semi-parametric Gaussian copula (Definition 3.4), non-private.
 
     ``fit`` estimates the correlation matrix by the Kendall/Greiner route
-    (Equation 4) and keeps exact histogram margins; ``sample`` is the
-    noise-free analogue of Algorithm 3.
+    (Equation 4) and keeps exact histogram margins; ``sample`` runs
+    Algorithm 3 (:func:`~repro.core.sampling.sample_synthetic`) on these
+    noise-free estimates.
     """
 
     def __init__(self, estimator: str = "kendall"):
@@ -73,14 +75,7 @@ class GaussianCopulaModel:
         self._require_fitted()
         if n is None:
             n = self._n_records
-        gen = as_generator(rng)
-        cholesky = cholesky_factor(self.correlation_)
-        latent = gen.standard_normal((int(n), self.correlation_.shape[0])) @ cholesky.T
-        uniforms = sps.norm.cdf(latent)
-        columns = [
-            margin.inverse(uniforms[:, j]) for j, margin in enumerate(self._margins)
-        ]
-        return Dataset(np.column_stack(columns), self._schema)
+        return sample_synthetic(self.correlation_, self._margins, n, self._schema, rng)
 
     def loglikelihood(self, dataset: Dataset) -> float:
         """Copula log-likelihood of (the pseudo-copula transform of) data."""
@@ -141,10 +136,7 @@ class EmpiricalCopulaModel:
             resolution = self.jitter / (self._pseudo.shape[0] + 1.0)
             u += gen.uniform(-resolution, resolution, size=u.shape)
             u = np.clip(u, 1e-9, 1.0 - 1e-9)
-        columns = [
-            margin.inverse(u[:, j]) for j, margin in enumerate(self._margins)
-        ]
-        return Dataset(np.column_stack(columns), self._schema)
+        return Dataset(BatchedMarginInverter(self._margins)(u), self._schema)
 
 
 class TCopulaModel:
@@ -222,10 +214,7 @@ class TCopulaModel:
         chi2 = gen.chisquare(self.df_, size=int(n))
         t_samples = normals / np.sqrt(chi2 / self.df_)[:, None]
         uniforms = sps.t.cdf(t_samples, self.df_)
-        columns = [
-            margin.inverse(uniforms[:, j]) for j, margin in enumerate(self._margins)
-        ]
-        return Dataset(np.column_stack(columns), self._schema)
+        return Dataset(BatchedMarginInverter(self._margins)(uniforms), self._schema)
 
     def loglikelihood(self, dataset: Dataset) -> float:
         self._require_fitted()

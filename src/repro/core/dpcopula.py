@@ -220,27 +220,17 @@ class DPCopulaSynthesizer(abc.ABC):
         self._n_records = dataset.n_records
         return self
 
-    def sample(
-        self, n: Optional[int] = None, chunk_size: Optional[int] = None
-    ) -> Dataset:
+    def sample(self, n: Optional[int] = None) -> Dataset:
         """Step 3: draw ``n`` DP synthetic records (default: original n).
 
         Sampling is post-processing, so it can be repeated arbitrarily
-        without spending additional budget.  ``chunk_size`` bounds the
-        per-pass working set for very large ``n`` (see
-        :func:`~repro.core.sampling.sample_synthetic`); it never changes
-        the sampled records.
+        without spending additional budget.
         """
         self._require_fitted()
         if n is None:
             n = self._n_records
         return sample_synthetic(
-            self.correlation_,
-            self._margins.cdfs,
-            int(n),
-            self._schema,
-            rng=self._rng,
-            chunk_size=chunk_size,
+            self.correlation_, self._margins.cdfs, int(n), self._schema, rng=self._rng
         )
 
     def fit_sample(self, dataset: Dataset, n: Optional[int] = None) -> Dataset:

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.sampling import BatchedMarginInverter
 from repro.data.dataset import Dataset
 from repro.dp.budget import PrivacyBudget
 from repro.histograms.base import HistogramPublisher
@@ -124,14 +125,7 @@ class DPMargins:
     def inverse_transform(self, uniforms: np.ndarray) -> np.ndarray:
         """Map uniform pseudo-copula data back to the original domains."""
         self._require_fitted()
-        uniforms = np.atleast_2d(np.asarray(uniforms, dtype=float))
-        if uniforms.shape[1] != len(self._cdfs):
-            raise ValueError(
-                f"data has {uniforms.shape[1]} columns, margins have {len(self._cdfs)}"
-            )
-        return np.column_stack(
-            [cdf.inverse(uniforms[:, j]) for j, cdf in enumerate(self._cdfs)]
-        )
+        return BatchedMarginInverter(self._cdfs)(np.atleast_2d(uniforms))
 
     def estimated_total(self) -> float:
         """Average of the margins' noisy totals: a DP estimate of ``n``."""

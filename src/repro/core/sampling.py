@@ -9,11 +9,17 @@ Three steps, all pure post-processing of already-private quantities:
    Gaussian copula with parameter ``P̃``;
 3. invert the DP empirical marginal distributions, mapping each uniform
    column back onto its attribute's original domain.
+
+:func:`sample_synthetic` runs the three steps through a
+:class:`~repro.engine.plan.SamplerPlan`, whose ``sample_batch`` is the
+library's one implementation of the loop.  Step 3 is
+:class:`BatchedMarginInverter`, which every other sampler calls too.
+:func:`sample_pseudo_copula` stops after step 2.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -28,12 +34,16 @@ from repro.utils import RngLike, as_generator, check_int_at_least, check_matrix_
 class BatchedMarginInverter:
     """All ``m`` inverse-CDF transforms in one ``searchsorted`` call.
 
+    The library's only margin inverter: every sampler maps its uniforms
+    onto the integer domains through it.
+    :meth:`~repro.stats.ecdf.HistogramCDF.inverse` is the per-column
+    definition the tests hold it to.
+
     Each margin's CDF lives in ``[0, 1]``; shifting margin ``j``'s CDF
     (and its uniforms) into the band ``[2j, 2j + 1]`` keeps the
     concatenated CDF vector globally sorted, so a single flat
     ``searchsorted`` answers every column of an ``(n, m)`` uniform batch
-    at once — replacing ``m`` Python-level ``margin.inverse`` calls with
-    one C-level pass.  Subtracting each band's start index recovers the
+    at once.  Subtracting each band's start index recovers the
     per-margin bin, clipped to the margin's domain as
     :meth:`~repro.stats.ecdf.HistogramCDF.inverse` clips it.
 
@@ -103,9 +113,13 @@ def sample_synthetic(
     n: int,
     schema: Schema,
     rng: RngLike = None,
-    chunk_size: Optional[int] = None,
 ) -> Dataset:
     """Algorithm 3 end-to-end: DP synthetic records on the original domain.
+
+    Builds a :class:`~repro.engine.plan.SamplerPlan` (which checks the
+    margins against the schema) and draws through it, so these records
+    are bitwise those the service's compiled plan serves for the same
+    generator state.
 
     Parameters
     ----------
@@ -117,44 +131,10 @@ def sample_synthetic(
         Number of synthetic records to draw.
     schema:
         The output schema (for domain validation).
-    chunk_size:
-        Draw at most this many records per pass, so sampling millions of
-        records never materializes one giant ``(n, m)`` uniforms matrix.
-        ``None`` samples in a single pass.  Chunking does not change the
-        output: ``standard_normal`` fills C-order rows from one stream,
-        so row-chunked draws consume the generator identically.
     """
-    margins = list(margins)
-    correlation = check_matrix_square("correlation", correlation)
-    if len(margins) != correlation.shape[0]:
-        raise ValueError(
-            f"{len(margins)} margins but correlation is "
-            f"{correlation.shape[0]}x{correlation.shape[0]}"
-        )
-    if len(margins) != schema.dimensions:
-        raise ValueError(
-            f"{len(margins)} margins but schema has {schema.dimensions} attributes"
-        )
-    for margin, attribute in zip(margins, schema):
-        if margin.domain_size != attribute.domain_size:
-            raise ValueError(
-                f"margin for {attribute.name!r} covers {margin.domain_size} "
-                f"values but the attribute domain has {attribute.domain_size}"
-            )
-    check_int_at_least("n", n, 1)
-    if chunk_size is not None:
-        chunk_size = check_int_at_least("chunk_size", chunk_size, 1)
-    with trace.span("sampling", n=int(n), m=correlation.shape[0]):
-        gen = as_generator(rng)
-        m = correlation.shape[0]
-        with trace.span("cholesky"):
-            cholesky = cholesky_factor(correlation)
-        inverter = BatchedMarginInverter(margins)
+    # The engine builds on core, so its plan is imported at call time.
+    from repro.engine.plan import SamplerPlan
 
-        step = n if chunk_size is None else chunk_size
-        out = np.empty((n, m), dtype=np.int64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            latent = gen.standard_normal((stop - start, m)) @ cholesky.T
-            out[start:stop] = inverter(sps.norm.cdf(latent))
-        return Dataset(out, schema)
+    with trace.span("sampling", n=int(n), m=schema.dimensions):
+        plan = SamplerPlan(correlation, margins, schema)
+        return plan.sample(n, as_generator(rng))

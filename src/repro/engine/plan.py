@@ -1,27 +1,30 @@
-"""Compiled sampler plans: per-model work done once, not per request.
+"""Compiled sampler plans: paper Algorithm 3, per-model work done once.
 
-Sampling a released copula model (paper Algorithm 3) splits into two
-kinds of work.  *Per-model* work — repairing and factorizing the DP
-correlation matrix, normalizing the noisy margin counts into CDF lookup
-tables — depends only on the released state and is identical for every
-request.  *Per-request* work — drawing latent normals, the normal-CDF
-push, the inverse-margin lookup — is three vectorized passes.  A
-:class:`SamplerPlan` hoists all per-model work to compile time so the
-request path is exactly those three passes against read-only arrays.
+Sampling a released copula model splits into two kinds of work.
+*Per-model* work — checking the margins against the schema, repairing
+and factorizing the DP correlation matrix, building the margin
+inverter's tables — depends only on the released state.  *Per-request*
+work — drawing latent normals, the normal-CDF push, the inverse-margin
+lookup — is three vectorized passes.  A :class:`SamplerPlan` does the
+per-model work when it is built, so the request path is exactly those
+three passes against read-only arrays.
 
-Bitwise contract: for the same ``np.random.Generator`` state,
-:meth:`SamplerPlan.sample` produces bit-for-bit the records of
-:meth:`repro.io.ReleasedModel.sample` — the plan caches the *inputs*
-to the hot loop (Cholesky factor, inverter tables), never changes the
-operations.  (The normal-CDF push uses :func:`scipy.special.ndtr`
-directly — the exact kernel ``scipy.stats.norm.cdf`` evaluates, minus
-the distribution-dispatch overhead; the outputs are bit-identical.)  :meth:`SamplerPlan.sample_batch` extends the contract to
-coalesced execution: each request's latent block is drawn from its own
-generator and multiplied at its own shape (single-row slices of a large
-GEMM are *not* bitwise stable across BLAS kernels, so the matmul is
-deliberately per-request), while the elementwise normal-CDF and the
-``searchsorted`` margin inversion — which are slice-stable — run once
-over the whole batch.
+:meth:`SamplerPlan.sample_batch` is the library's only Algorithm 3
+loop.  :func:`repro.core.sampling.sample_synthetic` builds a plan and
+draws through it, and with it :meth:`repro.io.ReleasedModel.sample`,
+the synthesizers' ``sample`` and the noise-free Gaussian copula; the
+service's registry caches one :func:`compile_plan` result per model.
+So every entry point maps the same generator state to the same
+records.  The normal-CDF push calls :func:`scipy.special.ndtr`, the
+kernel ``scipy.stats.norm.cdf`` evaluates, without its distribution
+dispatch.
+
+Coalesced execution keeps that contract per request: each request's
+latent block is drawn from its own generator and multiplied at its own
+shape (single-row slices of a large GEMM are *not* bitwise stable
+across BLAS kernels, so the matmul is deliberately per-request), while
+the elementwise normal CDF and the ``searchsorted`` margin inversion —
+which are slice-stable — run once over the whole batch.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.data.dataset import Dataset, Schema
 from repro.io import ReleasedModel
 from repro.stats.copula_math import cholesky_factor
 from repro.stats.ecdf import HistogramCDF
-from repro.utils import check_int_at_least
+from repro.utils import check_int_at_least, check_matrix_square
 
 __all__ = ["SamplerPlan", "compile_plan"]
 
@@ -44,25 +47,26 @@ __all__ = ["SamplerPlan", "compile_plan"]
 class SamplerPlan:
     """Everything Algorithm 3 needs to sample, precomputed and read-only.
 
+    Building one checks its inputs: a square correlation, and one
+    margin per attribute covering exactly that attribute's domain.
+
     Parameters
     ----------
+    correlation:
+        The DP correlation matrix ``P̃``; factorized (after PSD repair
+        if needed) by :func:`~repro.stats.copula_math.cholesky_factor`.
+    margins:
+        The DP marginal distributions ``F̃_j``, one per attribute.
+    schema:
+        Output schema (the sampled ``Dataset``'s domain metadata).
     model_id:
         Registry id of the model this plan was compiled from.
     generation:
         Monotone per-model counter assigned by the registry; a hot-swap
         bumps it, so the coalescer never batches requests against old
         and new arrays together.
-    cholesky:
-        Lower-triangular factor of the (repaired) DP correlation matrix.
-    inverter:
-        Precomputed :class:`~repro.core.sampling.BatchedMarginInverter`
-        over the model's DP margins.
-    schema:
-        Output schema (the sampled ``Dataset``'s domain metadata).
     n_records:
         The model's default sample size.
-    epsilon:
-        Privacy budget recorded on the released model (metadata only).
     """
 
     __slots__ = (
@@ -72,35 +76,40 @@ class SamplerPlan:
         "inverter",
         "schema",
         "n_records",
-        "epsilon",
     )
 
     def __init__(
         self,
-        model_id: str,
-        generation: int,
-        cholesky: np.ndarray,
-        inverter: BatchedMarginInverter,
+        correlation: np.ndarray,
+        margins: Sequence[HistogramCDF],
         schema: Schema,
-        n_records: int,
-        epsilon: float,
+        model_id: str = "",
+        generation: int = 1,
+        n_records: int = 0,
     ):
+        margins = list(margins)
+        correlation = check_matrix_square("correlation", correlation)
+        if len(margins) != correlation.shape[0]:
+            raise ValueError(
+                f"{len(margins)} margins but correlation is "
+                f"{correlation.shape[0]}x{correlation.shape[0]}"
+            )
+        if len(margins) != schema.dimensions:
+            raise ValueError(
+                f"{len(margins)} margins but schema has {schema.dimensions} attributes"
+            )
+        for margin, attribute in zip(margins, schema):
+            if margin.domain_size != attribute.domain_size:
+                raise ValueError(
+                    f"margin for {attribute.name!r} covers {margin.domain_size} "
+                    f"values but the attribute domain has {attribute.domain_size}"
+                )
         self.model_id = str(model_id)
         self.generation = int(generation)
-        self.cholesky = np.asarray(cholesky, dtype=float)
-        self.inverter = inverter
+        self.cholesky = cholesky_factor(correlation)
+        self.inverter = BatchedMarginInverter(margins)
         self.schema = schema
         self.n_records = int(n_records)
-        self.epsilon = float(epsilon)
-        if self.cholesky.ndim != 2 or self.cholesky.shape[0] != self.cholesky.shape[1]:
-            raise ValueError(
-                f"cholesky must be square, got shape {self.cholesky.shape}"
-            )
-        if self.cholesky.shape[0] != schema.dimensions:
-            raise ValueError(
-                f"cholesky is {self.cholesky.shape[0]}-dimensional but the "
-                f"schema has {schema.dimensions} attributes"
-            )
 
     @property
     def m(self) -> int:
@@ -110,10 +119,7 @@ class SamplerPlan:
     # -- sampling ---------------------------------------------------------
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        """One request: bitwise identical to ``ReleasedModel.sample``.
-
-        Runs as a batch of one, so the plan has a single hot loop.
-        """
+        """One request, run as a batch of one through :meth:`sample_batch`."""
         return self.sample_batch([(n, rng)])[0]
 
     def sample_batch(
@@ -154,21 +160,18 @@ def compile_plan(
 ) -> SamplerPlan:
     """Compile a released model's per-model sampling work into a plan.
 
-    Performs exactly the per-model steps of
-    :func:`repro.core.sampling.sample_synthetic` — PSD repair + Cholesky
-    via :func:`repro.stats.copula_math.cholesky_factor`, margin CDF
-    normalization, inverter table construction — so plan-based sampling
-    is bitwise identical to the uncompiled path.
+    Normalizes the noisy margin counts into CDFs and builds the
+    :class:`SamplerPlan` the registry caches for the model, so a
+    malformed model file fails here, naming the attribute, before any
+    request is served from it.  :meth:`ReleasedModel.sample` draws
+    through the same plan construction, so a plan's records are the
+    model's records by construction.
     """
-    cholesky = cholesky_factor(model.correlation)
-    margins = [HistogramCDF(counts) for counts in model.margin_counts]
-    inverter = BatchedMarginInverter(margins)
     return SamplerPlan(
+        model.correlation,
+        [HistogramCDF(counts) for counts in model.margin_counts],
+        model.schema,
         model_id=model_id,
         generation=generation,
-        cholesky=cholesky,
-        inverter=inverter,
-        schema=model.schema,
         n_records=model.n_records,
-        epsilon=model.epsilon,
     )

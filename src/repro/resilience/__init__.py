@@ -26,7 +26,8 @@ pieces (see docs/RELIABILITY.md for the operator-facing story):
 
 Layering: this package sits *below* :mod:`repro.parallel` and
 :mod:`repro.service` (both import it) and depends only on the
-telemetry layer, numpy and the standard library.
+telemetry layer, :mod:`repro.utils`, :mod:`repro.dp.budget` (for
+its exhaustion error), numpy and the standard library.
 """
 
 from repro.resilience.deadlines import (

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.resilience import faults
 from repro.telemetry import get_logger, metrics
+from repro.utils import atomic_write_bytes, interprocess_lock
 
 __all__ = ["JobJournal", "JobRecord", "JOB_STATES"]
 
@@ -162,8 +163,6 @@ class JobJournal:
     @contextmanager
     def _locked(self) -> Iterator[None]:
         """This process's threads, then every process: one writer at a time."""
-        from repro.service.config import interprocess_lock  # see _atomic_write_bytes
-
         with self._lock, interprocess_lock(self.lock_path):
             yield
 
@@ -241,7 +240,7 @@ class JobJournal:
         payload = (
             json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
         ).encode()
-        _atomic_write_bytes(self._record_path(record.job_id), payload)
+        atomic_write_bytes(self._record_path(record.job_id), payload)
 
     def delete(self, job_id: str) -> None:
         """Remove a record that never entered the queue (submit refused)."""
@@ -310,7 +309,7 @@ class JobJournal:
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **arrays)
         payload = faults.corrupt_bytes("journal.save_stage", buffer.getvalue())
-        _atomic_write_bytes(self._stage_path(job_id, stage), payload)
+        atomic_write_bytes(self._stage_path(job_id, stage), payload)
 
     def load_stage(self, job_id: str, stage: str) -> Optional[Dict[str, np.ndarray]]:
         """A stage's checkpoint arrays, or ``None`` if absent/corrupt."""
@@ -372,12 +371,3 @@ class JobJournal:
                 counts[record.state] += 1
         for state, count in counts.items():
             _JOB_STATE.set(count, state=state)
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    # Imported lazily to keep resilience importable without the service
-    # package in scope during partial installs; the helper itself lives
-    # with the service's on-disk layout code.
-    from repro.service.config import atomic_write_bytes
-
-    atomic_write_bytes(path, payload)

@@ -53,9 +53,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.dp.budget import BudgetExhaustedError, PrivacyBudget
-from repro.service.config import PathLike, interprocess_lock
+from repro.service.config import PathLike
 from repro.telemetry import get_logger, metrics
-from repro.utils import check_positive
+from repro.utils import check_positive, interprocess_lock
 
 __all__ = ["PrivacyAccountant", "BudgetExhaustedError", "replay_ledger"]
 

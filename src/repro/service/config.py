@@ -21,18 +21,10 @@ whole directory up with ``rsync``.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
-
-try:  # pragma: no cover - always present on POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -51,76 +43,6 @@ def check_identifier(kind: str, value: str) -> str:
             "[A-Za-z0-9._-], starting with a letter or digit"
         )
     return value
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (tmp file + ``os.replace``).
-
-    Readers never observe a half-written file: they see either the old
-    content or the new content.  The tmp file is created in the target
-    directory so the final rename stays on one filesystem.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-        fsync_directory(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def fsync_directory(directory: Path) -> None:
-    """Flush a directory entry so a rename survives power loss.
-
-    ``os.replace`` is atomic against concurrent readers but the new
-    directory entry itself still lives in the page cache until the
-    directory inode is synced; without this a crash can roll the rename
-    back entirely.  Best-effort: some filesystems refuse ``O_RDONLY``
-    directory fds, which we treat as "already durable enough".
-    """
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(dir_fd)
-
-
-@contextmanager
-def interprocess_lock(lock_path: Path) -> Iterator[None]:
-    """Exclusive ``fcntl.flock`` over ``lock_path`` (created if missing).
-
-    Serializes a critical section across *processes*; pair it with a
-    ``threading`` lock for this process's threads.  Not reentrant.
-    Closing the descriptor releases the lock, so a crashed holder can
-    never wedge its siblings.  No-op where ``fcntl`` does not exist
-    (non-POSIX): there the service is single-process only, matching
-    the pre-fork server's platform support.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        yield
-        return
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.data.dataset import Dataset
 from repro.io import load_dataset_csv
-from repro.service.config import (
-    PathLike,
-    atomic_write_bytes,
-    check_identifier,
-    fsync_directory,
-)
+from repro.service.config import PathLike, check_identifier
 from repro.service.serializers import dataset_summary
+from repro.utils import atomic_write_bytes, fsync_directory
 
 __all__ = ["DatasetStore"]
 

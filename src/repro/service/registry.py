@@ -46,8 +46,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.engine.plan import SamplerPlan, compile_plan
 from repro.io import MODEL_FORMAT_VERSION, ReleasedModel
-from repro.service.config import PathLike, atomic_write_bytes, check_identifier
+from repro.service.config import PathLike, check_identifier
 from repro.telemetry import metrics
+from repro.utils import atomic_write_bytes
 
 __all__ = ["ModelRecord", "ModelRegistry"]
 

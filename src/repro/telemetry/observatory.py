@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -54,6 +53,7 @@ from repro.stats.goodness_of_fit import copula_probe_statistic
 from repro.stats.kendall import kendall_tau_matrix
 from repro.telemetry.logs import get_logger
 from repro.telemetry.metrics import REGISTRY
+from repro.utils import atomic_write_bytes
 
 __all__ = [
     "UtilityProbe",
@@ -178,24 +178,6 @@ def budget_timelines(
 # ---------------------------------------------------------------------------
 # Observatory file helpers
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write_json(path: Path, document: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def load_probe_document(observatory_dir) -> Optional[Dict[str, Any]]:
@@ -355,7 +337,11 @@ class UtilityProbe:
             "models": models,
         }
         try:
-            _atomic_write_json(self.observatory_dir / "probes.json", document)
+            self.observatory_dir.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(
+                self.observatory_dir / "probes.json",
+                (json.dumps(document, sort_keys=True, indent=2) + "\n").encode(),
+            )
             if drift_events:
                 self._append_drift(drift_events)
         except OSError:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SamplerPlan, compile_plan
+from repro.stats.ecdf import HistogramCDF
 
 
 class TestCompile:
@@ -12,7 +13,6 @@ class TestCompile:
         assert plan.generation == 1
         assert plan.m == released_model.schema.dimensions
         assert plan.n_records == released_model.n_records
-        assert plan.epsilon == released_model.epsilon
 
     def test_cholesky_reconstructs_correlation(self, plan, released_model):
         np.testing.assert_allclose(
@@ -26,16 +26,9 @@ class TestCompile:
         assert plan.generation == 7
 
     def test_dimension_mismatch_rejected(self, plan, released_model):
+        margins = [HistogramCDF(counts) for counts in released_model.margin_counts]
         with pytest.raises(ValueError, match="schema"):
-            SamplerPlan(
-                "m",
-                1,
-                np.eye(plan.m + 1),
-                plan.inverter,
-                released_model.schema,
-                10,
-                1.0,
-            )
+            SamplerPlan(np.eye(plan.m + 1), margins + margins[:1], released_model.schema)
 
 
 class TestSampleBitwise:

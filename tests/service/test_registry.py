@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.io import MODEL_FORMAT_VERSION
+from repro.data.dataset import Attribute, Schema
+from repro.io import MODEL_FORMAT_VERSION, ReleasedModel
 from repro.service.registry import ModelRecord, ModelRegistry
 
 
@@ -208,6 +209,20 @@ def _replace_in_child(models_dir, model_id):
 
     registry = ModelRegistry(models_dir)
     registry.replace(model_id, registry.get(model_id))
+
+
+class TestMalformedModel:
+    def test_margin_shorter_than_domain_fails_plan_and_names_attribute(self, tmp_path):
+        """A model file whose margin misses domain values is never served."""
+        schema = Schema([Attribute("a", 10), Attribute("b", 4)])
+        model = ReleasedModel([np.ones(10), np.ones(4)], np.eye(2), schema, 50, 1.0)
+        ModelRegistry(tmp_path / "models").put(
+            model, dataset_id="d", method="kendall", model_id="m1"
+        )
+        tampered = ReleasedModel([np.ones(3), np.ones(4)], np.eye(2), schema, 50, 1.0)
+        tampered.save(tmp_path / "models" / "m1.npz")
+        with pytest.raises(ValueError, match="margin for 'a' covers 3 values"):
+            ModelRegistry(tmp_path / "models").get_plan("m1")
 
 
 class TestCrossProcessGenerations:

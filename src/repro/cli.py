@@ -51,6 +51,7 @@ against the data directory — see docs/OBSERVABILITY.md)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -62,7 +63,9 @@ from contextlib import nullcontext
 from repro.core.dpcopula import DPCopulaKendall, DPCopulaMLE
 from repro.core.hybrid import DPCopulaHybrid
 from repro.io import ReleasedModel, load_dataset_csv, save_dataset_csv
+from repro.parallel import BACKENDS
 from repro.queries.metrics import utility_report
+from repro.service.config import DEFAULT_EPSILON_CAP, ServiceConfig, serve_flags
 from repro.telemetry import trace
 
 
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument("--seed", type=int, default=None, help="RNG seed")
     synthesize.add_argument(
         "--parallel-backend",
-        choices=("serial", "thread", "process"),
+        choices=BACKENDS,
         default=None,
         help="execution backend for the fit's hot loops (default: "
         "DPCOPULA_PARALLEL env var, else serial); results are identical "
@@ -223,154 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the synthesis HTTP service (see docs/SERVICE.md)"
     )
-    serve.add_argument(
-        "--data-dir",
-        required=True,
-        help="directory for datasets, registered models and the privacy ledger",
-    )
+    for flag, setting in serve_flags():
+        _add_setting_flag(serve, flag, setting)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8639, help="bind port")
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pre-fork HTTP worker processes sharing the port via "
-        "SO_REUSEPORT (default: DPCOPULA_WORKERS env var, else 1 — the "
-        "single-process server); worker 0 owns fitting, every worker "
-        "serves sampling",
-    )
-    serve.add_argument(
-        "--epsilon-cap",
-        type=float,
-        default=10.0,
-        help="lifetime per-dataset privacy cap enforced by the accountant "
-        "(default 10.0)",
-    )
-    serve.add_argument(
-        "--fit-workers",
-        type=int,
-        default=1,
-        help="background fit-worker pool size (default 1: strictly "
-        "serial, submission-ordered fitting)",
-    )
-    serve.add_argument(
-        "--parallel-backend",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="execution backend each fit uses for its hot loops "
-        "(default serial)",
-    )
-    serve.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=None,
-        help="worker budget for --parallel-backend (default: available CPUs)",
-    )
-    serve.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error", "off"),
-        default=None,
-        help="structured JSON logging level for the service (overridden "
-        "by the DPCOPULA_LOG environment variable)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
-    )
-    serve.add_argument(
-        "--max-queued-fits",
-        type=int,
-        default=32,
-        help="bound on waiting fit jobs; submissions past it get "
-        "429 + Retry-After (default 32; 0 disables the bound)",
-    )
-    serve.add_argument(
-        "--fit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per fit job, enforced cooperatively "
-        "at stage boundaries (default: no deadline)",
-    )
-    serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-connection socket timeout for HTTP requests "
-        "(default 30; 0 disables)",
-    )
-    serve.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="how long the sampling engine holds a batch open for "
-        "concurrent sample requests to join (default 0: no idle wait; "
-        "requests still coalesce while a batch executes)",
-    )
-    serve.add_argument(
-        "--max-coalesced-records",
-        type=int,
-        default=262_144,
-        help="record budget per coalesced sampling batch (default 262144)",
-    )
-    serve.add_argument(
-        "--sample-queue-limit",
-        type=int,
-        default=256,
-        help="bound on sample requests parked in the coalescer; arrivals "
-        "past it get 429 + Retry-After (default 256; 0 disables the bound)",
-    )
-    serve.add_argument(
-        "--model-cache-size",
-        type=int,
-        default=128,
-        help="LRU bound on released models kept in server memory "
-        "(default 128; 0 disables the bound)",
-    )
-    serve.add_argument(
-        "--slow-request-threshold",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="requests slower than this are logged with their request id "
-        "and counted (default 1.0; 0 disables slow-request logging)",
-    )
-    serve.add_argument(
-        "--latency-buckets",
-        default=None,
-        metavar="SECONDS,SECONDS,...",
-        help="override latency-histogram bucket boundaries, e.g. "
-        "'0.01,0.1,1,10' (default: built-in 1ms-5min spread; the "
-        "DPCOPULA_LATENCY_BUCKETS environment variable wins over this)",
-    )
-    serve.add_argument(
-        "--no-trace-export",
-        action="store_true",
-        help="disable the durable per-worker trace-export ring under "
-        "<data-dir>/traces/",
-    )
-    serve.add_argument(
-        "--probe-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="period of the continuous utility-probe loop on the fit "
-        "owner (default 0: disabled); probes draw deterministic samples "
-        "from served models and cost zero privacy budget",
-    )
-    serve.add_argument(
-        "--probe-sample-size",
-        type=int,
-        default=512,
-        help="records drawn per model per probe cycle (default 512)",
-    )
-    serve.add_argument(
-        "--probe-drift-threshold",
-        type=float,
-        default=0.05,
-        help="emit a drift event when a hot-swapped generation's released "
-        "statistics shift beyond this (default 0.05)",
     )
 
     budget = commands.add_parser(
@@ -393,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--epsilon-cap",
         type=float,
-        default=10.0,
+        default=DEFAULT_EPSILON_CAP,
         help="lifetime cap to render headroom against in offline mode "
-        "(the ledger records spends, not the cap; default 10.0)",
+        "(the ledger records spends, not the cap; default %(default)s)",
     )
     budget.add_argument(
         "--events",
@@ -427,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--epsilon-cap",
         type=float,
-        default=10.0,
-        help="lifetime cap to render against in offline mode (default 10.0)",
+        default=DEFAULT_EPSILON_CAP,
+        help="lifetime cap to render against in offline mode "
+        "(default %(default)s)",
     )
     top.add_argument(
         "--watch",
@@ -465,6 +327,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable output"
     )
     return parser
+
+
+def _add_setting_flag(parser, flag: str, setting) -> None:
+    """Add the ``serve`` flag a ``ServiceConfig`` field's metadata declares."""
+    meta = setting.metadata
+    if isinstance(setting.default, bool):
+        action = "store_false" if setting.default else "store_true"
+        parser.add_argument(flag, dest=setting.name, action=action, help=meta["help"])
+        return
+    required = setting.default is dataclasses.MISSING
+    default = None if required or meta["resolve"] else setting.default
+    notes = [] if default is None else ["default %(default)s"]
+    if meta["zero_off"]:
+        notes.append("0 turns it off")
+    parser.add_argument(
+        flag,
+        dest=setting.name,
+        required=required,
+        default=default,
+        type=meta["type"],
+        choices=meta["choices"],
+        metavar=meta["metavar"],
+        help=meta["help"] + (f" ({'; '.join(notes)})" if notes else ""),
+    )
 
 
 def _parallel_context(args):
@@ -654,51 +540,15 @@ def _evaluate(args) -> int:
 
 
 def _serve(args) -> int:
-    from repro.service import (
-        ServiceConfig,
-        SynthesisService,
-        build_server,
-        resolve_worker_count,
-    )
+    from repro.service import SynthesisService, build_server
 
     try:
-        workers = resolve_worker_count(args.workers)
+        config = ServiceConfig.from_flags(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    latency_buckets = None
-    if args.latency_buckets:
-        from repro.telemetry.metrics import parse_latency_buckets
-
-        try:
-            latency_buckets = parse_latency_buckets(args.latency_buckets)
-        except ValueError as exc:
-            print(f"error: --latency-buckets: {exc}", file=sys.stderr)
-            return 2
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        epsilon_cap=args.epsilon_cap,
-        fit_workers=args.fit_workers,
-        parallel_backend=args.parallel_backend,
-        parallel_workers=args.parallel_workers,
-        log_level=args.log_level,
-        max_queued_fits=args.max_queued_fits or None,
-        fit_timeout_seconds=args.fit_timeout,
-        request_timeout_seconds=args.request_timeout or None,
-        coalesce_window_seconds=args.coalesce_window,
-        max_coalesced_records=args.max_coalesced_records,
-        sample_queue_limit=args.sample_queue_limit or None,
-        model_cache_size=args.model_cache_size or None,
-        workers=workers,
-        slow_request_seconds=args.slow_request_threshold or None,
-        latency_buckets=latency_buckets,
-        trace_export_enabled=not args.no_trace_export,
-        probe_interval_seconds=args.probe_interval,
-        probe_sample_size=args.probe_sample_size,
-        probe_drift_threshold=args.probe_drift_threshold,
-    )
-    if workers > 1:
-        return _serve_prefork(args, config, workers)
+    if config.multi_worker:
+        return _serve_prefork(args, config)
     service = SynthesisService(config)
     server = build_server(
         service, host=args.host, port=args.port, quiet=not args.verbose
@@ -737,7 +587,7 @@ def _serve(args) -> int:
     return 0
 
 
-def _serve_prefork(args, config, workers: int) -> int:
+def _serve_prefork(args, config) -> int:
     """Run the pre-fork fleet: supervisor in this process, N workers."""
     from repro.service.prefork import SUPPORTS_REUSE_PORT, PreforkServer
 
@@ -751,7 +601,7 @@ def _serve_prefork(args, config, workers: int) -> int:
     mode = "SO_REUSEPORT" if SUPPORTS_REUSE_PORT else "inherited listener"
     print(
         f"synthesis service listening on http://{args.host}:{supervisor.port} "
-        f"({workers} workers, {mode})"
+        f"({config.workers} workers, {mode})"
     )
     print(f"data directory: {args.data_dir} (ε cap {args.epsilon_cap:g}/dataset)")
     print(f"worker 0 owns fitting ({args.fit_workers} fit worker(s))")

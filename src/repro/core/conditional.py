@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from repro.core.sampling import BatchedMarginInverter, sample_synthetic
+from repro.core.sampling import BatchedMarginInverter
 from repro.data.dataset import Dataset, Schema
 from repro.stats.copula_math import cholesky_factor
 from repro.stats.ecdf import HistogramCDF
@@ -50,19 +50,15 @@ class ConditionalCopulaSampler:
         margins: Sequence[HistogramCDF],
         schema: Schema,
     ):
+        # The engine builds on core, so its plan is imported at call time.
+        from repro.engine.plan import SamplerPlan
+
         self.correlation = check_matrix_square("correlation", correlation)
         self.margins = list(margins)
         self.schema = schema
-        if len(self.margins) != self.correlation.shape[0]:
-            raise ValueError(
-                f"{len(self.margins)} margins but correlation is "
-                f"{self.correlation.shape[0]}x{self.correlation.shape[0]}"
-            )
-        if len(self.margins) != schema.dimensions:
-            raise ValueError(
-                f"{len(self.margins)} margins but schema has "
-                f"{schema.dimensions} attributes"
-            )
+        # Building the plan checks every margin against the schema, so
+        # the ``given`` branch never samples a truncated domain either.
+        self._plan = SamplerPlan(self.correlation, self.margins, schema)
 
     @classmethod
     def from_synthesizer(cls, synthesizer) -> "ConditionalCopulaSampler":
@@ -112,9 +108,7 @@ class ConditionalCopulaSampler:
         free_indices = [j for j in range(m) if j not in set(fixed_indices)]
 
         if not fixed_indices:
-            return sample_synthetic(
-                self.correlation, self.margins, n, self.schema, rng=gen
-            )
+            return self._plan.sample(n, gen)
         ordered = np.empty((n, m), dtype=np.int64)
         ordered[:, fixed_indices] = fixed_values
         if not free_indices:

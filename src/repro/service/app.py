@@ -152,15 +152,10 @@ class SynthesisService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         configure_logging(config.log_level)
-        # Resolve latency-histogram buckets before any request traffic:
-        # the env var beats the config field, and rebucketing clears the
-        # affected series, which is only safe this early.
-        buckets = config.latency_buckets
-        env_buckets = os.environ.get(metrics.LATENCY_BUCKETS_ENV_VAR)
-        if env_buckets:
-            buckets = metrics.parse_latency_buckets(env_buckets)
-        if buckets is not None:
-            metrics.REGISTRY.configure_latency_buckets(buckets)
+        # Rebucketing clears the affected series, which is only safe
+        # before any request traffic.
+        if config.latency_buckets is not None:
+            metrics.REGISTRY.configure_latency_buckets(config.latency_buckets)
         config.ensure_layout()
         self.datasets = DatasetStore(config.datasets_dir)
         self.registry = ModelRegistry(

@@ -21,10 +21,14 @@ whole directory up with ``rsync``.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
+
+from repro.parallel import BACKENDS
+from repro.telemetry.metrics import parse_latency_buckets
 
 PathLike = Union[str, Path]
 
@@ -45,135 +49,246 @@ def check_identifier(kind: str, value: str) -> str:
     return value
 
 
+def _setting(
+    default: Any = MISSING,
+    help: Optional[str] = None,
+    *,
+    flag: Optional[str] = None,
+    type: Optional[Callable[[str], Any]] = None,
+    at_least: Optional[float] = None,
+    above: Optional[float] = None,
+    zero_off: bool = False,
+    resolve: Optional[Callable[[Any], Any]] = None,
+    choices: Optional[Tuple[str, ...]] = None,
+    metavar: Optional[str] = None,
+) -> Any:
+    """A :class:`ServiceConfig` field: its default, range and serve flag.
+
+    ``at_least`` / ``above`` bound the value; ``None`` is always in
+    range.  A setting with ``help`` is also a ``dpcopula serve`` flag,
+    named ``flag`` (default ``--<field-name>``), parsed with ``type``
+    and limited to ``choices``.  With ``zero_off``, ``0`` on the command
+    line means ``None`` (off).  With ``resolve``, the flag is unset
+    (``None``) by default and ``resolve`` turns its value into the
+    field's; otherwise the flag's default is the field's.
+    """
+    metadata = dict(
+        help=help, flag=flag, type=type, at_least=at_least, above=above,
+        zero_off=zero_off, resolve=resolve, choices=choices, metavar=metavar,
+    )
+    return field(default=default, metadata=metadata)
+
+
+def _check_range(setting: Field, value: Any, label: str) -> None:
+    """Raise ``ValueError`` naming ``label`` unless ``value`` is in range."""
+    at_least, above = setting.metadata["at_least"], setting.metadata["above"]
+    if value is None or (at_least is None and above is None):
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise ValueError(f"{label} must be >= {at_least}, got {value!r}")
+    if above is not None and value <= above:
+        raise ValueError(f"{label} must be > {above}, got {value!r}")
+
+
+def _resolve_workers(value: Optional[int]) -> int:
+    # prefork imports this module, so its resolver is imported at call time.
+    from repro.service.prefork import resolve_worker_count
+
+    return resolve_worker_count(value)
+
+
+def _parse_buckets(text: Optional[str]) -> Optional[Tuple[float, ...]]:
+    return None if text is None else parse_latency_buckets(text)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Settings for a :class:`~repro.service.app.SynthesisService`.
 
-    Parameters
-    ----------
-    data_dir:
-        Root directory for datasets, models and the privacy ledger.
-        Created (with parents) if missing.
-    epsilon_cap:
-        Per-dataset lifetime privacy cap enforced by the accountant.
-        Fits whose ``ε`` would push a dataset's cumulative spend past
-        this cap are refused.
-    fit_workers:
-        Size of the background fit-worker pool.  1 (the default) keeps
-        strictly serial, submission-ordered fitting; more workers
-        overlap independent fits at the cost of deterministic refusal
-        order near the budget cap (see :mod:`repro.service.jobs`).
-    parallel_backend:
-        :class:`~repro.parallel.ExecutionContext` backend every fit
-        uses for its internal hot loops (pairwise tau, per-block MLE):
-        ``"serial"``, ``"thread"`` or ``"process"``.
-    parallel_workers:
-        Worker budget for ``parallel_backend``; ``None`` uses the CPUs
-        available to the server process.
-    log_level:
-        Structured-logging level for the ``dpcopula`` namespace
-        (``"debug"`` … ``"error"``, or ``"off"``/``None`` for silent).
-        The ``DPCOPULA_LOG`` environment variable overrides this, so an
-        operator can turn a deployment up to ``debug`` without a config
-        change.
-    max_queued_fits:
-        Upper bound on fit jobs waiting in the worker queue.  Submissions
-        beyond it are refused with HTTP 429 + ``Retry-After`` instead of
-        growing the queue (and the journal) without bound.  ``None``
-        disables the bound.
-    fit_timeout_seconds:
-        Wall-clock deadline for a single fit job.  The fit checks it
-        cooperatively at stage and task boundaries and fails with
-        ``DeadlineExceeded`` when it lapses.  ``None`` (default) means
-        no deadline.
-    request_timeout_seconds:
-        Per-connection socket timeout for the HTTP server: a client that
-        stalls mid-request is disconnected instead of pinning a handler
-        thread forever.  ``None`` disables the timeout.
-    coalesce_window_seconds:
-        How long the sampling engine holds a batch open for concurrent
-        sample requests to join (see :mod:`repro.engine.coalesce`).
-        ``0`` (the default) adds no idle latency — requests still
-        coalesce whenever they arrive while a batch executes.
-    max_coalesced_records:
-        Record budget per coalesced sampling batch; bounds the transient
-        work arrays one vectorized draw materializes.
-    sample_queue_limit:
-        Bound on sample requests parked in the coalescer across all
-        models.  Arrivals beyond it get HTTP 429 + ``Retry-After``.
-        ``None`` disables the bound.
-    model_cache_size:
-        LRU bound on released models (and their compiled plans) the
-        registry keeps in memory.  ``None`` caches without bound.
-    workers:
-        Number of pre-fork HTTP worker processes the deployment runs.
-        1 (the default) is the single-process server.  The value is
-        recorded on every worker's config so each process knows the
-        fleet size (metrics aggregation, journal polling).
-    worker_index:
-        This process's index within a pre-fork fleet, or ``None`` for
-        the single-process server.  Worker 0 is the **fit owner**: it
-        runs the background fit pool and startup job recovery; other
-        workers journal fit submissions for the owner to pick up and
-        serve everything else (sampling, reads) themselves.
-    metrics_flush_seconds:
-        How often each pre-fork worker flushes its metrics snapshot to
-        ``<data_dir>/metrics/worker-<index>.json`` for cross-worker
-        aggregation by ``GET /metrics``.
-    slow_request_seconds:
-        Requests slower than this are logged at ``warning`` with their
-        request id and counted in ``dpcopula_http_slow_requests_total``;
-        their exported traces are flagged ``slow``.  ``None`` disables
-        slow-request detection.
-    latency_buckets:
-        Override for the default latency-histogram bucket boundaries
-        (seconds, any order).  ``None`` keeps the built-in 1 ms–5 min
-        spread.  The ``DPCOPULA_LATENCY_BUCKETS`` environment variable
-        (comma-separated seconds) wins over this field.
-    trace_export_enabled:
-        Whether completed trace roots (per-request traces, service
-        fits) are appended to the durable per-worker JSONL ring under
-        ``<data_dir>/traces/``.
-    trace_export_max_bytes / trace_export_files:
-        Ring geometry per worker: the active file rotates when it would
-        exceed ``max_bytes``, keeping at most ``files`` files.
-    probe_interval_seconds:
-        Period of the continuous utility-probe loop on the fit-owner
-        worker.  ``0`` (the default) disables the background loop; the
-        probe object still exists for on-demand cycles.
-    probe_sample_size:
-        Records drawn per model per probe cycle (deterministic seed, so
-        repeated probes of one generation are bitwise identical).
-    probe_drift_threshold:
-        A generation hot-swap whose released statistics shift by more
-        than this (TVD on margins, |Δρ| on dependence) emits a
-        structured drift event.
+    Each field declares its setting once, through :func:`_setting`: its
+    default, its allowed range and, for the settings ``dpcopula serve``
+    takes as flags, the flag and the help text that documents it.
+    ``dpcopula serve --help`` lists them with their defaults.
+    Construction raises ``ValueError`` for a value outside its range.
+
+    ``None`` turns off a bound, a timeout or slow-request detection.
+    Only the command line reads ``0`` as ``None`` for those settings:
+    in code, ``slow_request_seconds=0.0`` flags every request as slow.
+
+    The settings without a flag: ``worker_index`` is this process's
+    index in a pre-fork fleet (``None`` for the single-process server);
+    worker 0 is the **fit owner**, which runs the fit pool and startup
+    job recovery, while the others journal fit submissions for it and
+    serve everything else.  ``metrics_flush_seconds`` is how often a
+    fleet worker writes ``<data_dir>/metrics/worker-<index>.json`` for
+    ``GET /metrics`` to aggregate.  ``trace_export_max_bytes`` and
+    ``trace_export_files`` shape each worker's trace ring: the active
+    file rotates before it would exceed ``max_bytes``, keeping at most
+    ``files`` files.
     """
 
-    data_dir: PathLike
-    epsilon_cap: float = DEFAULT_EPSILON_CAP
-    fit_workers: int = 1
-    parallel_backend: str = "serial"
-    parallel_workers: Optional[int] = None
-    log_level: Optional[str] = None
-    max_queued_fits: Optional[int] = 32
-    fit_timeout_seconds: Optional[float] = None
-    request_timeout_seconds: Optional[float] = 30.0
-    coalesce_window_seconds: float = 0.0
-    max_coalesced_records: int = 262_144
-    sample_queue_limit: Optional[int] = 256
-    model_cache_size: Optional[int] = 128
-    workers: int = 1
-    worker_index: Optional[int] = None
-    metrics_flush_seconds: float = 1.0
-    slow_request_seconds: Optional[float] = 1.0
-    latency_buckets: Optional[Tuple[float, ...]] = None
-    trace_export_enabled: bool = True
-    trace_export_max_bytes: int = 4 * 1024 * 1024
-    trace_export_files: int = 2
-    probe_interval_seconds: float = 0.0
-    probe_sample_size: int = 512
-    probe_drift_threshold: float = 0.05
+    data_dir: PathLike = _setting(
+        help="root directory for datasets, registered models, fit jobs and the "
+        "privacy ledger; created with its parents if missing"
+    )
+    epsilon_cap: float = _setting(
+        DEFAULT_EPSILON_CAP,
+        "lifetime per-dataset privacy cap the accountant enforces: a fit whose "
+        "ε would take a dataset's spend past it is refused",
+        type=float, above=0,
+    )
+    fit_workers: int = _setting(
+        1,
+        "background fit-worker pool size; 1 fits strictly serially in "
+        "submission order, more overlap independent fits at the cost of a "
+        "deterministic refusal order near the budget cap",
+        type=int, at_least=1,
+    )
+    parallel_backend: str = _setting(
+        "serial",
+        "execution backend each fit uses for its hot loops (pairwise tau, "
+        "per-block MLE)",
+        choices=BACKENDS,
+    )
+    parallel_workers: Optional[int] = _setting(
+        None,
+        "worker budget for the parallel backend; unset uses the CPUs "
+        "available to the server",
+        type=int, at_least=1,
+    )
+    log_level: Optional[str] = _setting(
+        None,
+        "structured JSON logging level for the service; unset is off, and the "
+        "DPCOPULA_LOG environment variable overrides it",
+        choices=("debug", "info", "warning", "error", "off"),
+    )
+    max_queued_fits: Optional[int] = _setting(
+        32,
+        "bound on fit jobs waiting in the worker queue; submissions past it "
+        "get 429 + Retry-After and leave no journal record",
+        type=int, at_least=1, zero_off=True,
+    )
+    fit_timeout_seconds: Optional[float] = _setting(
+        None,
+        "wall-clock deadline per fit job, checked cooperatively at stage and "
+        "task boundaries (the fit fails with DeadlineExceeded); unset means "
+        "no deadline",
+        flag="--fit-timeout", type=float, above=0, zero_off=True,
+        metavar="SECONDS",
+    )
+    request_timeout_seconds: Optional[float] = _setting(
+        30.0,
+        "per-connection socket timeout of the HTTP server: a client that "
+        "stalls mid-request is disconnected instead of pinning a handler thread",
+        flag="--request-timeout", type=float, above=0, zero_off=True,
+        metavar="SECONDS",
+    )
+    coalesce_window_seconds: float = _setting(
+        0.0,
+        "how long the sampling engine holds a batch open for concurrent sample "
+        "requests to join; 0 adds no idle wait, and requests still coalesce "
+        "while a batch executes",
+        flag="--coalesce-window", type=float, at_least=0, metavar="SECONDS",
+    )
+    max_coalesced_records: int = _setting(
+        262_144,
+        "record budget per coalesced sampling batch; bounds the work arrays "
+        "one vectorized draw materializes",
+        type=int, at_least=1,
+    )
+    sample_queue_limit: Optional[int] = _setting(
+        256,
+        "bound on sample requests parked in the coalescer across all models; "
+        "arrivals past it get 429 + Retry-After",
+        type=int, at_least=1, zero_off=True,
+    )
+    model_cache_size: Optional[int] = _setting(
+        128,
+        "LRU bound on released models and their compiled plans kept in server "
+        "memory",
+        type=int, at_least=1, zero_off=True,
+    )
+    workers: int = _setting(
+        1,
+        "pre-fork HTTP worker processes sharing the port via SO_REUSEPORT; "
+        "worker 0 owns fitting, every worker serves sampling and records the "
+        "fleet size. Unset reads the DPCOPULA_WORKERS environment variable, "
+        "else 1 (the single-process server)",
+        type=int, at_least=1, resolve=_resolve_workers,
+    )
+    worker_index: Optional[int] = _setting(None, at_least=0)
+    metrics_flush_seconds: float = _setting(1.0, above=0)
+    slow_request_seconds: Optional[float] = _setting(
+        1.0,
+        "requests slower than this are logged at warning with their request "
+        "id and counted in dpcopula_http_slow_requests_total, and their "
+        "exported traces are flagged slow",
+        flag="--slow-request-threshold", type=float, at_least=0, zero_off=True,
+        metavar="SECONDS",
+    )
+    latency_buckets: Optional[Tuple[float, ...]] = _setting(
+        None,
+        "latency-histogram bucket boundaries in seconds, in any order "
+        "(comma-separated on the command line, e.g. '0.01,0.1,1,10'); unset "
+        "keeps the built-in 1ms-5min spread",
+        resolve=_parse_buckets, metavar="SECONDS,SECONDS,...",
+    )
+    trace_export_enabled: bool = _setting(
+        True,
+        "append completed trace roots (requests, service fits) to a durable "
+        "per-worker JSONL ring under <data-dir>/traces/; --no-trace-export "
+        "turns it off",
+        flag="--no-trace-export",
+    )
+    trace_export_max_bytes: int = _setting(4 * 1024 * 1024, at_least=4096)
+    trace_export_files: int = _setting(2, at_least=1)
+    probe_interval_seconds: float = _setting(
+        0.0,
+        "period of the continuous utility-probe loop on the fit owner; 0 runs "
+        "no loop, though on-demand cycles still work. Probes draw "
+        "deterministic samples from served models and cost zero privacy budget",
+        flag="--probe-interval", type=float, at_least=0, metavar="SECONDS",
+    )
+    probe_sample_size: int = _setting(
+        512,
+        "records drawn per model per probe cycle, from a fixed seed, so "
+        "repeated probes of one generation are bitwise identical",
+        type=int, at_least=8,
+    )
+    probe_drift_threshold: float = _setting(
+        0.05,
+        "a generation hot-swap whose released statistics shift by more than "
+        "this (TVD on margins, |Δρ| on dependence) emits a drift event",
+        type=float, at_least=0,
+    )
+
+    def __post_init__(self) -> None:
+        for setting in fields(self):
+            _check_range(setting, getattr(self, setting.name), setting.name)
+
+    @classmethod
+    def from_flags(cls, args: Any) -> "ServiceConfig":
+        """The config that ``dpcopula serve``'s parsed flags ask for.
+
+        ``args`` holds one attribute per field :func:`serve_flags`
+        lists.  An out-of-range value raises ``ValueError`` naming its
+        flag.
+        """
+        values = {}
+        for flag, setting in serve_flags():
+            value = getattr(args, setting.name)
+            if setting.metadata["zero_off"] and value == 0:
+                value = None
+            _check_range(setting, value, flag)
+            if setting.metadata["resolve"] is not None:
+                try:
+                    value = setting.metadata["resolve"](value)
+                except ValueError as exc:
+                    raise ValueError(f"{flag}: {exc}") from None
+            values[setting.name] = value
+        return cls(**values)
 
     @property
     def root(self) -> Path:
@@ -233,3 +348,12 @@ class ServiceConfig:
         self.datasets_dir.mkdir(parents=True, exist_ok=True)
         self.models_dir.mkdir(parents=True, exist_ok=True)
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
+
+
+def serve_flags() -> List[Tuple[str, Field]]:
+    """``(flag, field)`` for each :class:`ServiceConfig` setting with a flag."""
+    return [
+        (setting.metadata["flag"] or "--" + setting.name.replace("_", "-"), setting)
+        for setting in fields(ServiceConfig)
+        if setting.metadata["help"]
+    ]

@@ -189,8 +189,6 @@ class PreforkServer:
         max_respawn_delay: float = 2.0,
         force_inherited_socket: bool = False,
     ):
-        if config.workers < 1:
-            raise ValueError(f"config.workers must be >= 1, got {config.workers}")
         self.config = config
         self.host = host
         self.requested_port = port

@@ -43,7 +43,6 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_FANOUT_BUCKETS",
-    "LATENCY_BUCKETS_ENV_VAR",
     "parse_latency_buckets",
 ]
 
@@ -57,11 +56,6 @@ DEFAULT_LATENCY_BUCKETS = (
 #: Task-count buckets for fan-out histograms (powers of two up to the
 #: parallel layer's per-call item cap).
 DEFAULT_FANOUT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
-
-#: Environment override for the default latency-bucket boundaries: a
-#: comma-separated list of seconds, e.g. ``"0.005,0.05,0.5,5"``.  Wins
-#: over ``ServiceConfig.latency_buckets``.
-LATENCY_BUCKETS_ENV_VAR = "DPCOPULA_LATENCY_BUCKETS"
 
 
 def parse_latency_buckets(text: str) -> Tuple[float, ...]:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.conditional import ConditionalCopulaSampler
 from repro.core.dpcopula import DPCopulaKendall
-from repro.data.dataset import Schema
+from repro.data.dataset import Attribute, Schema
 from repro.stats.ecdf import HistogramCDF
 
 
@@ -101,3 +101,10 @@ class TestValidation:
                 [HistogramCDF(np.ones(10))] * 2,
                 Schema.from_domain_sizes([10, 10, 10]),
             )
+
+    def test_margin_shorter_than_its_domain(self):
+        """Refused when built, so ``given`` cannot sample a truncated domain."""
+        schema = Schema([Attribute("a", 5), Attribute("b", 60)])
+        margins = [HistogramCDF(np.ones(5)), HistogramCDF(np.ones(3))]
+        with pytest.raises(ValueError, match="margin for 'b' covers 3 values"):
+            ConditionalCopulaSampler(np.eye(2), margins, schema)

@@ -64,6 +64,176 @@ class TestParser:
             )
 
 
+#: The ServiceConfig ``serve --data-dir svc`` builds with no other flag.
+_SERVE_DEFAULTS = {
+    "data_dir": "svc",
+    "epsilon_cap": 10.0,
+    "fit_workers": 1,
+    "parallel_backend": "serial",
+    "parallel_workers": None,
+    "log_level": None,
+    "max_queued_fits": 32,
+    "fit_timeout_seconds": None,
+    "request_timeout_seconds": 30.0,
+    "coalesce_window_seconds": 0.0,
+    "max_coalesced_records": 262_144,
+    "sample_queue_limit": 256,
+    "model_cache_size": 128,
+    "workers": 1,
+    "worker_index": None,
+    "metrics_flush_seconds": 1.0,
+    "slow_request_seconds": 1.0,
+    "latency_buckets": None,
+    "trace_export_enabled": True,
+    "trace_export_max_bytes": 4 * 1024 * 1024,
+    "trace_export_files": 2,
+    "probe_interval_seconds": 0.0,
+    "probe_sample_size": 512,
+    "probe_drift_threshold": 0.05,
+}
+
+# (serve flags, DPCOPULA_WORKERS, fields that differ from _SERVE_DEFAULTS)
+_SERVE_CONFIG_TABLE = {
+    "defaults": ([], None, {}),
+    "zero-means-off": (
+        [
+            "--max-queued-fits", "0", "--fit-timeout", "0",
+            "--request-timeout", "0", "--sample-queue-limit", "0",
+            "--model-cache-size", "0", "--slow-request-threshold", "0",
+        ],
+        None,
+        {
+            "max_queued_fits": None,
+            "fit_timeout_seconds": None,
+            "request_timeout_seconds": None,
+            "sample_queue_limit": None,
+            "model_cache_size": None,
+            "slow_request_seconds": None,
+        },
+    ),
+    "every-flag-non-default": (
+        [
+            "--epsilon-cap", "2.5", "--fit-workers", "2",
+            "--parallel-backend", "thread", "--parallel-workers", "3",
+            "--log-level", "warning", "--max-queued-fits", "5",
+            "--fit-timeout", "7.5", "--request-timeout", "12",
+            "--coalesce-window", "0.002", "--max-coalesced-records", "1000",
+            "--sample-queue-limit", "9", "--model-cache-size", "4",
+            "--workers", "2", "--slow-request-threshold", "0.5",
+            "--latency-buckets", "0.5,2", "--no-trace-export",
+            "--probe-interval", "3", "--probe-sample-size", "64",
+            "--probe-drift-threshold", "0.1",
+        ],
+        None,
+        {
+            "epsilon_cap": 2.5,
+            "fit_workers": 2,
+            "parallel_backend": "thread",
+            "parallel_workers": 3,
+            "log_level": "warning",
+            "max_queued_fits": 5,
+            "fit_timeout_seconds": 7.5,
+            "request_timeout_seconds": 12.0,
+            "coalesce_window_seconds": 0.002,
+            "max_coalesced_records": 1000,
+            "sample_queue_limit": 9,
+            "model_cache_size": 4,
+            "workers": 2,
+            "slow_request_seconds": 0.5,
+            "latency_buckets": (0.5, 2.0),
+            "trace_export_enabled": False,
+            "probe_interval_seconds": 3.0,
+            "probe_sample_size": 64,
+            "probe_drift_threshold": 0.1,
+        },
+    ),
+    "no-trace-export": (["--no-trace-export"], None, {"trace_export_enabled": False}),
+    "latency-buckets-sorted": (
+        ["--latency-buckets", "0.1,0.01,1"], None, {"latency_buckets": (0.01, 0.1, 1.0)}
+    ),
+    "workers-from-environment": ([], "2", {"workers": 2}),
+    "explicit-workers-beat-environment": (["--workers", "1"], "2", {}),
+}
+
+
+class TestServeConfig:
+    """``dpcopula serve``'s flags come from ServiceConfig's fields."""
+
+    def test_parser_offers_the_23_serve_flags(self):
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions if action.dest == "command"
+        )
+        offered = {
+            flag
+            for action in commands.choices["serve"]._actions
+            for flag in action.option_strings
+        } - {"-h", "--help"}
+        assert offered == {
+            "--data-dir", "--host", "--port", "--verbose", "--workers",
+            "--epsilon-cap", "--fit-workers", "--parallel-backend",
+            "--parallel-workers", "--log-level", "--max-queued-fits",
+            "--fit-timeout", "--request-timeout", "--coalesce-window",
+            "--max-coalesced-records", "--sample-queue-limit",
+            "--model-cache-size", "--slow-request-threshold",
+            "--latency-buckets", "--no-trace-export", "--probe-interval",
+            "--probe-sample-size", "--probe-drift-threshold",
+        }
+
+    @pytest.mark.parametrize("row", list(_SERVE_CONFIG_TABLE))
+    def test_serve_builds_the_pinned_config(self, row, monkeypatch):
+        from dataclasses import asdict
+
+        from repro.service import ServiceConfig
+
+        flags, workers_env, changed = _SERVE_CONFIG_TABLE[row]
+        monkeypatch.delenv("DPCOPULA_WORKERS", raising=False)
+        if workers_env is not None:
+            monkeypatch.setenv("DPCOPULA_WORKERS", workers_env)
+        args = build_parser().parse_args(["serve", "--data-dir", "svc", *flags])
+        config = ServiceConfig.from_flags(args)
+        assert asdict(config) == {**_SERVE_DEFAULTS, **changed}
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon-cap", "0"),
+            ("--fit-workers", "0"),
+            ("--parallel-workers", "0"),
+            ("--max-queued-fits", "-1"),
+            ("--max-coalesced-records", "0"),
+            ("--sample-queue-limit", "-3"),
+            ("--model-cache-size", "-1"),
+            ("--probe-sample-size", "0"),
+            ("--request-timeout", "-1"),
+            ("--latency-buckets", "0,-1"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_the_data_dir_exists(
+        self, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        import repro.service
+
+        def no_server(*args, **kwargs):
+            raise AssertionError(f"serve {flag} {value} started a server")
+
+        monkeypatch.setattr(repro.service, "build_server", no_server)
+        data_dir = tmp_path / "svc"
+        code = main(["serve", "--data-dir", str(data_dir), "--port", "0", flag, value])
+        assert code == 2
+        assert f"error: {flag}" in capsys.readouterr().err
+        assert not data_dir.exists()
+
+    def test_library_config_checks_ranges_by_field_name(self, tmp_path):
+        from repro.service import ServiceConfig
+
+        # In code 0.0 is a threshold (every request is slow), not "off".
+        config = ServiceConfig(data_dir=tmp_path, slow_request_seconds=0.0)
+        assert config.slow_request_seconds == 0.0
+        with pytest.raises(ValueError, match="slow_request_seconds must be >= 0"):
+            ServiceConfig(data_dir=tmp_path, slow_request_seconds=-1.0)
+
+
 class TestSynthesize:
     def test_end_to_end(self, csv_dataset, tmp_path, capsys):
         input_path, original = csv_dataset

@@ -101,7 +101,7 @@ def run(args) -> dict:
         m, requests, n = args.m, args.requests, args.n
     batch = args.batch
     model = make_model(m, n_records=100_000)
-    plan = compile_plan(model, "bench-model", generation=1)
+    plan = compile_plan(model, "bench-model")
     total_records = requests * n
     print(
         f"workload: m={m}, {requests} requests x {n} records "

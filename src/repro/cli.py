@@ -38,9 +38,9 @@ against the same data directory — see docs/RELIABILITY.md)::
     dpcopula jobs --data-dir ./service-data --show 3f2a9b0c11de
     dpcopula jobs --data-dir ./service-data --cancel 3f2a9b0c11de
 
-Watch the fleet: privacy-budget burn-down per dataset, continuous
-utility-probe results and drift events (live over HTTP, or offline
-against the data directory — see docs/OBSERVABILITY.md)::
+Watch the fleet: privacy-budget burn-down per dataset and continuous
+utility-probe results (live over HTTP, or offline against the data
+directory — see docs/OBSERVABILITY.md)::
 
     dpcopula budget --url http://127.0.0.1:8639
     dpcopula budget --data-dir ./service-data --epsilon-cap 10.0
@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = commands.add_parser(
         "top",
-        help="one-screen fleet dashboard: budgets, utility probes, drift, "
-        "traces (see docs/OBSERVABILITY.md)",
+        help="one-screen fleet dashboard: budgets, utility probes, traces "
+        "(see docs/OBSERVABILITY.md)",
     )
     top_source = top.add_mutually_exclusive_group(required=True)
     top_source.add_argument(
@@ -712,17 +712,13 @@ def _observatory_document(args):
     from pathlib import Path
 
     from repro.telemetry.export import list_trace_files
-    from repro.telemetry.observatory import (
-        load_probe_document,
-        read_drift_events,
-    )
+    from repro.telemetry.observatory import load_probe_document
 
     root = Path(args.data_dir)
     return {
         "served_by": "offline",
         "budget": _offline_budget(args.data_dir, args.epsilon_cap),
         "probes": load_probe_document(root / "observatory"),
-        "drift_events": read_drift_events(root / "observatory"),
         "traces": {"enabled": None, "files": list_trace_files(root / "traces")},
         "workers": [],
     }
@@ -753,7 +749,7 @@ def _render_top(document) -> None:
             f"models, sample={probes.get('sample_size')}"
         )
         header = (
-            f"  {'MODEL':<18} {'GEN':<4} {'TVD(max)':<10} {'2WAY(max)':<10} "
+            f"  {'MODEL':<18} {'TVD(max)':<10} {'2WAY(max)':<10} "
             f"{'TAU ERR':<10} MISFIT"
         )
         print(header)
@@ -763,22 +759,10 @@ def _render_top(document) -> None:
             kway = model.get("kway_tvd_max")
             kway_text = f"{kway:<10.4f}" if kway is not None else f"{'-':<10}"
             print(
-                f"  {model['model_id']:<18} {model['generation']:<4} "
+                f"  {model['model_id']:<18} "
                 f"{model['margin_tvd_max']:<10.4f} {kway_text}"
                 f"{model['tau_error']:<10.4f} {model['copula_misfit']:.4f}"
             )
-
-    drift = document.get("drift_events") or []
-    print("\n-- drift events --")
-    if not drift:
-        print("  (none)")
-    for event in drift[-5:]:
-        print(
-            f"  {_format_timestamp(event.get('ts'))}  {event.get('model_id')} "
-            f"gen {event.get('from_generation')}→{event.get('to_generation')} "
-            f"{event.get('metric')}={event.get('value'):.4f} "
-            f"(threshold {event.get('threshold'):g})"
-        )
 
     traces = document.get("traces") or {}
     print("\n-- trace export --")

@@ -16,8 +16,8 @@ once per model and serves every subsequent request from the plan:
 
 Plans are process-local: every serving process samples from the plan
 its own :class:`~repro.service.registry.ModelRegistry` compiled (one
-m×m factor plus one CDF entry per domain value), and the registry's
-generation tags keep pre-fork workers coherent across hot-swaps.
+m×m factor plus one CDF entry per domain value).  A registered model
+never changes, so every pre-fork worker compiles the same plan for an id.
 
 Everything here is pure post-processing of already-released DP state:
 no code path in this package ever touches original data or spends ε.

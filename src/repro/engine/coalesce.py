@@ -7,10 +7,10 @@ against the same plan into one
 :meth:`~repro.engine.plan.SamplerPlan.sample_batch` call using a
 *leader/follower* scheme with leadership hand-off:
 
-* the first request to arrive for a ``(model_id, generation)`` key
-  becomes the **leader**: it optionally holds the batch open for one
-  coalescing window, drains the queue into a batch (which always
-  contains its own request) and executes it;
+* the first request to arrive for a model id becomes the **leader**:
+  it optionally holds the batch open for one coalescing window, drains
+  the queue into a batch (which always contains its own request) and
+  executes it;
 * requests arriving while a batch executes park as **followers**; when
   the leader finishes it promotes the oldest parked follower to lead
   the next batch, so a busy key forms back-to-back batches with zero
@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class _PendingRequest:
 
 
 class _KeyState:
-    """Queue + leadership flag for one ``(model_id, generation)`` key."""
+    """Queue + leadership flag for one model id."""
 
     __slots__ = ("queue", "leader_active", "arrivals")
 
@@ -101,7 +101,7 @@ class _KeyState:
 
 
 class RequestCoalescer:
-    """Micro-batches concurrent sample requests per ``(model, generation)``.
+    """Micro-batches concurrent sample requests per model id.
 
     Parameters
     ----------
@@ -143,7 +143,7 @@ class RequestCoalescer:
             None if max_pending_requests is None else int(max_pending_requests)
         )
         self._lock = threading.Lock()
-        self._states: Dict[Hashable, _KeyState] = {}
+        self._states: Dict[str, _KeyState] = {}
         self._total_pending = 0
 
     def pending(self) -> int:
@@ -159,7 +159,7 @@ class RequestCoalescer:
         Bitwise identical to ``plan.sample(n, rng)`` for the same
         generator state, whatever batching happens around it.
         """
-        key = (plan.model_id, plan.generation)
+        key = plan.model_id
         pending = _PendingRequest(n, rng)
         with self._lock:
             if (
@@ -193,7 +193,7 @@ class RequestCoalescer:
 
     # -- leader side ------------------------------------------------------
 
-    def _lead(self, key: Hashable, state: _KeyState, plan: SamplerPlan) -> None:
+    def _lead(self, key: str, state: _KeyState, plan: SamplerPlan) -> None:
         """Execute one batch (containing our own request), then hand off.
 
         Leadership transfers under the lock, so a racing arrival either
@@ -248,7 +248,7 @@ class RequestCoalescer:
         self._total_pending -= len(batch)
         return batch
 
-    def _pass_leadership_locked(self, key: Hashable, state: _KeyState) -> None:
+    def _pass_leadership_locked(self, key: str, state: _KeyState) -> None:
         """Promote the oldest parked follower, or retire the key."""
         if state.queue:
             successor = state.queue[0]
@@ -259,7 +259,7 @@ class RequestCoalescer:
             self._states.pop(key, None)
 
     def _strand(
-        self, key: Hashable, state: _KeyState, exc: BaseException
+        self, key: str, state: _KeyState, exc: BaseException
     ) -> None:
         """Fail every queued request and retire the key (leader died)."""
         with self._lock:
@@ -298,7 +298,7 @@ class RequestCoalescer:
 
     def _follow(
         self,
-        key: Hashable,
+        key: str,
         state: _KeyState,
         plan: SamplerPlan,
         pending: _PendingRequest,
@@ -328,7 +328,7 @@ class RequestCoalescer:
                 return
 
     def _abandon(
-        self, key: Hashable, state: _KeyState, pending: _PendingRequest
+        self, key: str, state: _KeyState, pending: _PendingRequest
     ) -> None:
         """Withdraw a deadline-expired follower without stranding peers.
 

@@ -45,8 +45,8 @@ class SamplingEngine:
     ----------
     plan_provider:
         ``model_id -> SamplerPlan``; raises ``KeyError`` for unknown
-        models.  The provider owns plan caching and generation tagging
-        (the registry's ``get_plan``).
+        models.  The provider owns plan caching (the registry's
+        ``get_plan``).
     coalescer:
         Optional :class:`~repro.engine.coalesce.RequestCoalescer`;
         ``None`` executes every request as its own draw.

@@ -60,18 +60,14 @@ class SamplerPlan:
     schema:
         Output schema (the sampled ``Dataset``'s domain metadata).
     model_id:
-        Registry id of the model this plan was compiled from.
-    generation:
-        Monotone per-model counter assigned by the registry; a hot-swap
-        bumps it, so the coalescer never batches requests against old
-        and new arrays together.
+        Registry id of the model this plan was compiled from; the
+        coalescer batches requests per id.
     n_records:
         The model's default sample size.
     """
 
     __slots__ = (
         "model_id",
-        "generation",
         "cholesky",
         "inverter",
         "schema",
@@ -84,7 +80,6 @@ class SamplerPlan:
         margins: Sequence[HistogramCDF],
         schema: Schema,
         model_id: str = "",
-        generation: int = 1,
         n_records: int = 0,
     ):
         margins = list(margins)
@@ -105,7 +100,6 @@ class SamplerPlan:
                     f"values but the attribute domain has {attribute.domain_size}"
                 )
         self.model_id = str(model_id)
-        self.generation = int(generation)
         self.cholesky = cholesky_factor(correlation)
         self.inverter = BatchedMarginInverter(margins)
         self.schema = schema
@@ -155,9 +149,7 @@ class SamplerPlan:
         return results
 
 
-def compile_plan(
-    model: ReleasedModel, model_id: str, generation: int = 1
-) -> SamplerPlan:
+def compile_plan(model: ReleasedModel, model_id: str) -> SamplerPlan:
     """Compile a released model's per-model sampling work into a plan.
 
     Normalizes the noisy margin counts into CDFs and builds the
@@ -172,6 +164,5 @@ def compile_plan(
         [HistogramCDF(counts) for counts in model.margin_counts],
         model.schema,
         model_id=model_id,
-        generation=generation,
         n_records=model.n_records,
     )

@@ -70,20 +70,17 @@ def replay_ledger(ledger_path: PathLike) -> List[Dict[str, Any]]:
     rendering burn-down timelines adds zero contention to the append
     path.  Semantics mirror the accountant's replay: entries come back
     in append order, duplicates by idempotency key are dropped, and a
-    torn final line (missing its newline) is *skipped*, not repaired —
-    repairs are mutations and belong to the accountant.  Unlike startup
-    replay this is diagnostic, so mid-file corruption skips the bad
-    line instead of refusing: an observatory must be able to look at a
-    damaged ledger.
+    final line missing its newline counts when it parses (its append
+    died between the write and the newline) and is skipped when it is
+    a torn fragment — never repaired, because repairs are mutations and
+    belong to the accountant.  Unlike startup replay this is
+    diagnostic, so mid-file corruption skips the bad line instead of
+    refusing: an observatory must be able to look at a damaged ledger.
     """
     try:
         text = Path(ledger_path).read_text(encoding="utf-8")
     except OSError:
         return []
-    if not text:
-        return []
-    if not text.endswith("\n"):
-        text = text.rpartition("\n")[0]  # drop the torn tail fragment
     entries: List[Dict[str, Any]] = []
     seen_keys: set = set()
     for line in text.splitlines():

@@ -244,7 +244,6 @@ class SynthesisService:
                 config.observatory_dir,
                 worker_label=config.worker_label,
                 sample_size=config.probe_sample_size,
-                drift_threshold=config.probe_drift_threshold,
                 interval=config.probe_interval_seconds,
             )
             self.probe.start()
@@ -675,19 +674,8 @@ class SynthesisService:
         return metrics.REGISTRY.snapshot()
 
     def metrics_text(self) -> str:
-        """Prometheus text-exposition view of the metrics registry."""
-        self._refresh_gauges()
-        if self._metrics_flusher is not None:
-            from repro.telemetry.aggregate import (
-                read_worker_snapshots,
-                render_prometheus_multi,
-            )
-
-            self._metrics_flusher.flush()
-            return render_prometheus_multi(
-                read_worker_snapshots(self.config.metrics_dir)
-            )
-        return metrics.REGISTRY.render_prometheus()
+        """Prometheus text-exposition view of :meth:`metrics_snapshot`."""
+        return metrics.render_prometheus(self.metrics_snapshot())
 
     def _refresh_gauges(self) -> None:
         # Queue depth is scrape-time state, not event-time state: refresh
@@ -736,22 +724,18 @@ class SynthesisService:
         """The ``GET /debug/observatory`` document: fleet state at a glance.
 
         Aggregates the privacy-budget timelines, the latest utility-probe
-        results and drift events (published by the fit owner's prober),
+        results (published by the fit owner's prober),
         the trace-ring inventory, and per-worker liveness — readable from
         any worker because everything flows through the shared data dir.
         """
         from repro.telemetry.export import list_trace_files
-        from repro.telemetry.observatory import (
-            load_probe_document,
-            read_drift_events,
-        )
+        from repro.telemetry.observatory import load_probe_document
 
         snapshot = self.metrics_snapshot()
         document: Dict[str, Any] = {
             "served_by": self.config.worker_label,
             "budget": self.budget_overview(),
             "probes": load_probe_document(self.config.observatory_dir),
-            "drift_events": read_drift_events(self.config.observatory_dir),
             "traces": {
                 "enabled": self.trace_exporter is not None,
                 "files": list_trace_files(self.config.traces_dir),

@@ -11,7 +11,7 @@ Everything the service persists lives under one data directory::
         jobs/<id>.<stage>.npz  fit stage checkpoints (resume-after-crash)
         ledger.jsonl           append-only privacy-spend journal
         traces/trace-*.jsonl   per-worker trace-export ring files
-        observatory/           utility-probe results + drift events
+        observatory/           utility-probe results
         metrics/worker-*.json  per-worker metrics snapshots (pre-fork)
 
 The layout is deliberately plain files: a data curator can audit the
@@ -253,15 +253,9 @@ class ServiceConfig:
     )
     probe_sample_size: int = _setting(
         512,
-        "records drawn per model per probe cycle, from a fixed seed, so "
-        "repeated probes of one generation are bitwise identical",
+        "records drawn per model per probe cycle, from a seed fixed by the "
+        "model id, so repeated probes of one model are bitwise identical",
         type=int, at_least=8,
-    )
-    probe_drift_threshold: float = _setting(
-        0.05,
-        "a generation hot-swap whose released statistics shift by more than "
-        "this (TVD on margins, |Δρ| on dependence) emits a drift event",
-        type=float, at_least=0,
     )
 
     def __post_init__(self) -> None:

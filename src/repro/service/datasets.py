@@ -5,6 +5,11 @@ on upload (schema header, domain bounds), persisted under the data
 directory, and only ever read again by fit jobs.  The service never
 returns original records over the API — only schema summaries and
 privacy-paid synthetic samples leave the store.
+
+Every pre-fork worker accepts uploads, and all of them share one
+directory and one staging path per id, so :meth:`DatasetStore.put`
+holds an ``fcntl.flock`` on ``<directory>/.lock`` from the free-id
+check to the sidecar write: two workers can never both accept an id.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.data.dataset import Dataset
 from repro.io import load_dataset_csv
 from repro.service.config import PathLike, check_identifier
 from repro.service.serializers import dataset_summary
-from repro.utils import atomic_write_bytes, fsync_directory
+from repro.utils import atomic_write_bytes, fsync_directory, interprocess_lock
 
 __all__ = ["DatasetStore"]
 
@@ -31,6 +36,7 @@ class DatasetStore:
     def __init__(self, directory: PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.lock_path = self.directory / ".lock"
         self._lock = threading.RLock()
         self._cache: Dict[str, Dataset] = {}
 
@@ -43,7 +49,7 @@ class DatasetStore:
     def put(self, dataset_id: str, csv_text: str) -> Dict[str, Any]:
         """Validate and persist an uploaded CSV; return its summary."""
         check_identifier("dataset", dataset_id)
-        with self._lock:
+        with self._lock, interprocess_lock(self.lock_path):
             if self._sidecar_path(dataset_id).exists():
                 raise ValueError(f"dataset id {dataset_id!r} already exists")
             # Parse before persisting so malformed uploads leave no trace.

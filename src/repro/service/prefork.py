@@ -25,9 +25,9 @@ Worker 0 is the **fit owner** (see ``ServiceConfig.is_fit_owner``): it
 runs the fit pool, startup job recovery and the journal poller that
 adopts follower submissions.  All workers serve reads and sampling,
 each from the sampler plans its own registry compiled.  Cross-process
-coherence rides on durable state: flocked ledger appends and
-sidecar-fingerprint generation watching in the registry, which makes
-every worker recompile a model's plan after any process hot-swaps it.
+coherence rides on durable state: flocked ledger, journal and dataset
+writes, and registered models that never change, so every worker
+compiles the same plan for a model id.
 
 Supervision
 -----------
@@ -306,9 +306,9 @@ class PreforkServer:
         A crashed worker (any unexpected exit) is restarted with a
         capped exponential backoff; a worker that had been serving for
         a while restarts immediately (its backoff resets).  Shared
-        durable state — the registry sidecars, the ledger, the job
+        durable state — the registered models, the ledger, the job
         journal — lives in the data directory, so a respawned worker
-        loads the *current* model generations, not a reset.
+        serves the same models and budgets, not a reset.
         """
         respawned = 0
         for index, process in list(self._processes.items()):

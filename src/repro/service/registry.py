@@ -16,26 +16,18 @@ so an evicted model silently reloads on next use).
 Each cache entry carries the model's compiled
 :class:`~repro.engine.plan.SamplerPlan` alongside the model itself —
 the plan the sampling engine serves every request from, compiled once
-per cached model and process — and every model id has a monotonically
-increasing **generation** number.  :meth:`ModelRegistry.replace`
-hot-swaps a model's released state in place and bumps the generation,
-so a new plan replaces the old one atomically and the engine's
-coalescer never batches requests across the two.
-
-Generations are **durable and cross-process**: the sidecar records the
-current generation, and every cache hit re-checks the sidecar's stat
-fingerprint (inode + mtime + size — one ``stat`` call, no read).  A
-``replace`` performed by *any* process atomically swaps the sidecar, so
-sibling pre-fork workers watching the fingerprint reload the model and
-recompile the plan at the bumped generation on their very next lookup —
-no request ever mixes old arrays with a new generation tag.
+per cached model and process.  A registered model is **immutable**: one
+model id is one charged release.  :meth:`ModelRegistry.put` refuses an
+id that exists and nothing rewrites a model's files afterwards, so a
+cached plan never goes stale, and every process that loads the id — a
+sibling pre-fork worker, a respawned one, a restarted server — compiles
+the same plan from the same bytes.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import threading
 import time
 import uuid
@@ -78,7 +70,6 @@ class ModelRecord:
     schema: List[List[Any]]
     created_at: float
     format_version: int = MODEL_FORMAT_VERSION
-    generation: int = 1
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -91,12 +82,13 @@ class ModelRecord:
             "schema": self.schema,
             "created_at": self.created_at,
             "format_version": self.format_version,
-            "generation": self.generation,
             "extra": self.extra,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ModelRecord":
+        # Keys this version does not know are ignored, so sidecars
+        # written by older versions still load.
         return cls(
             model_id=str(payload["model_id"]),
             dataset_id=str(payload["dataset_id"]),
@@ -106,15 +98,8 @@ class ModelRecord:
             schema=[list(pair) for pair in payload["schema"]],
             created_at=float(payload["created_at"]),
             format_version=int(payload.get("format_version", 1)),
-            generation=int(payload.get("generation", 1)),
             extra=dict(payload.get("extra", {})),
         )
-
-
-#: Fingerprint of a sidecar file: (st_ino, st_mtime_ns, st_size).  An
-#: atomic replace writes a new inode, so any swap — even from another
-#: process — changes the fingerprint.
-_Fingerprint = Optional[tuple]
 
 
 @dataclass
@@ -123,7 +108,6 @@ class _CacheEntry:
 
     model: ReleasedModel
     plan: SamplerPlan
-    fingerprint: _Fingerprint = None
 
 
 class ModelRegistry:
@@ -160,10 +144,6 @@ class ModelRegistry:
         self.max_cached_models = max_cached_models
         self._lock = threading.RLock()
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
-        # Generations survive eviction: the counter invalidates plans
-        # held *outside* the registry, so it must never reset while the
-        # process lives.
-        self._generations: Dict[str, int] = {}
 
     def _npz_path(self, model_id: str) -> Path:
         return self.directory / f"{model_id}.npz"
@@ -211,113 +191,11 @@ class ModelRegistry:
             self._install_locked(model_id, model)
         return record
 
-    def replace(self, model_id: str, model: ReleasedModel) -> ModelRecord:
-        """Hot-swap the released state behind an already-registered id.
-
-        Atomically overwrites the NPZ (readers see the old or the new
-        payload, never a torn one), refreshes the sidecar's model-derived
-        fields, bumps the id's **generation** (durably, in the sidecar)
-        and recompiles the cached plan — so every downstream plan
-        consumer keyed by ``(model_id, generation)`` — including sibling
-        pre-fork worker processes watching the sidecar fingerprint —
-        retires the stale plan on its next lookup.
-        """
-        model_id = check_identifier("model", model_id)
-        with self._lock:
-            if not self._sidecar_path(model_id).exists():
-                raise KeyError(f"no model registered under id {model_id!r}")
-            old = ModelRecord.from_dict(
-                json.loads(self._sidecar_path(model_id).read_text())
-            )
-            generation = max(self._generation_locked(model_id), old.generation) + 1
-            record = ModelRecord(
-                model_id=model_id,
-                dataset_id=old.dataset_id,
-                method=old.method,
-                epsilon=model.epsilon,
-                n_records=model.n_records,
-                schema=[[a.name, a.domain_size] for a in model.schema],
-                created_at=time.time(),
-                generation=generation,
-                extra=dict(old.extra),
-            )
-            buffer = io.BytesIO()
-            model.save(buffer)
-            # NPZ first, then the sidecar: the sidecar swap is the
-            # commit point sibling processes key their reload on.
-            atomic_write_bytes(self._npz_path(model_id), buffer.getvalue())
-            atomic_write_bytes(
-                self._sidecar_path(model_id),
-                (json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n").encode(),
-            )
-            self._generations[model_id] = generation
-            self._cache.pop(model_id, None)
-            self._install_locked(model_id, model)
-        return record
-
     # -- cache machinery --------------------------------------------------
 
-    def _sidecar_fingerprint(self, model_id: str) -> _Fingerprint:
-        """Stat-level identity of the sidecar (``None`` when missing)."""
-        try:
-            stat = os.stat(self._sidecar_path(model_id))
-        except OSError:
-            return None
-        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
-
-    def _generation_locked(self, model_id: str) -> int:
-        generation = self._generations.get(model_id)
-        if generation is None:
-            generation = 1
-            sidecar = self._sidecar_path(model_id)
-            if sidecar.exists():
-                try:
-                    generation = int(
-                        json.loads(sidecar.read_text()).get("generation", 1)
-                    )
-                except (ValueError, KeyError, OSError):
-                    generation = 1
-            self._generations[model_id] = generation
-        return generation
-
-    def generation(self, model_id: str) -> int:
-        """The id's current generation (bumped by every ``replace``).
-
-        Cross-process aware: when the sidecar on disk has moved past
-        this process's cached counter (a sibling's ``replace``), the
-        durable value wins.  The counter never goes backwards.
-        """
-        with self._lock:
-            cached = self._generation_locked(model_id)
-            sidecar = self._sidecar_path(model_id)
-            if sidecar.exists():
-                try:
-                    durable = int(json.loads(sidecar.read_text()).get("generation", 1))
-                except (ValueError, KeyError, OSError):
-                    durable = cached
-                if durable > cached:
-                    self._generations[model_id] = durable
-                    return durable
-            return cached
-
-    def _install_locked(
-        self,
-        model_id: str,
-        model: ReleasedModel,
-        fingerprint: _Fingerprint = None,
-    ) -> _CacheEntry:
+    def _install_locked(self, model_id: str, model: ReleasedModel) -> _CacheEntry:
         """Cache a model (compiling its plan) and enforce the LRU bound."""
-        entry = _CacheEntry(
-            model=model,
-            plan=compile_plan(
-                model, model_id, generation=self._generation_locked(model_id)
-            ),
-            fingerprint=(
-                fingerprint
-                if fingerprint is not None
-                else self._sidecar_fingerprint(model_id)
-            ),
-        )
+        entry = _CacheEntry(model=model, plan=compile_plan(model, model_id))
         self._cache[model_id] = entry
         self._cache.move_to_end(model_id)
         while (
@@ -328,49 +206,31 @@ class ModelRegistry:
             _EVICTIONS.inc()
         return entry
 
-    def _entry(self, model_id: str) -> _CacheEntry:
-        """The id's cache entry, loading + compiling on miss (LRU touch).
+    def _hit_locked(self, model_id: str) -> Optional[_CacheEntry]:
+        """The id's cached entry (touched as most recent), or ``None``."""
+        entry = self._cache.get(model_id)
+        if entry is not None:
+            self._cache.move_to_end(model_id)
+            _PLAN_HITS.inc()
+        return entry
 
-        Every hit re-validates the sidecar's stat fingerprint: if a
-        sibling process hot-swapped the model (``replace`` writes a new
-        sidecar inode), the stale entry is dropped and reloaded at the
-        durable generation — one ``stat`` call per lookup buys
-        cross-process cache coherence.
-        """
+    def _entry(self, model_id: str) -> _CacheEntry:
+        """The id's cache entry, loading + compiling on miss (LRU touch)."""
         with self._lock:
-            entry = self._cache.get(model_id)
-            if entry is not None:
-                if entry.fingerprint == self._sidecar_fingerprint(model_id):
-                    self._cache.move_to_end(model_id)
-                    _PLAN_HITS.inc()
-                    return entry
-                # Swapped underneath us by another process: reload.
-                self._cache.pop(model_id, None)
-        if not self._sidecar_path(model_id).exists():
+            entry = self._hit_locked(model_id)
+        if entry is not None:
+            return entry
+        if model_id not in self:
             raise KeyError(f"no model registered under id {model_id!r}")
-        # Fingerprint-stable read: the NPZ lands before the sidecar in
-        # put/replace, so re-checking the fingerprint after loading the
-        # NPZ guarantees the (record, payload) pair is from one
-        # publication — a swap mid-read just retries.
-        for _ in range(3):
-            fingerprint = self._sidecar_fingerprint(model_id)
-            record = self.record(model_id)
-            model = ReleasedModel.load(self._npz_path(model_id))
-            if self._sidecar_fingerprint(model_id) == fingerprint:
-                break
+        model = ReleasedModel.load(self._npz_path(model_id))
         with self._lock:
-            # Re-check: another thread may have installed while we read
-            # the NPZ; keep its entry (and plan identity) if fresh.
-            entry = self._cache.get(model_id)
-            if entry is not None and entry.fingerprint == fingerprint:
-                self._cache.move_to_end(model_id)
-                _PLAN_HITS.inc()
-                return entry
-            _PLAN_MISSES.inc()
-            self._generations[model_id] = max(
-                self._generations.get(model_id, 1), record.generation
-            )
-            return self._install_locked(model_id, model, fingerprint=fingerprint)
+            # Another thread may have installed the model while we read
+            # the NPZ; keep its entry (and plan identity).
+            entry = self._hit_locked(model_id)
+            if entry is None:
+                _PLAN_MISSES.inc()
+                entry = self._install_locked(model_id, model)
+            return entry
 
     def cached_models(self) -> int:
         """Models currently resident in the LRU cache."""
@@ -391,9 +251,7 @@ class ModelRegistry:
     def get_plan(self, model_id: str) -> SamplerPlan:
         """The model's compiled sampler plan (the engine's plan provider).
 
-        Compiled once per cached model — generation-tagged so the
-        engine's coalescer stops batching against a plan the moment
-        :meth:`replace` swaps the model underneath it.
+        Compiled once per cached model.
         """
         return self._entry(model_id).plan
 

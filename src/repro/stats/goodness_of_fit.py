@@ -93,8 +93,7 @@ def copula_probe_statistic(
     a cheap, deterministic misfit number per probe cycle; the bootstrap
     calibration of :func:`gaussian_copula_gof` is ~100x the cost and
     only needed for a hypothesis test.  Smaller is better; the score is
-    comparable across cycles of the same model/sample size, which is
-    what a drift monitor needs.
+    comparable across cycles of the same model/sample size.
     """
     u = np.atleast_2d(np.asarray(pseudo_copula, dtype=float))
     correlation = check_matrix_square("correlation", correlation)

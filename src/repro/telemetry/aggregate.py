@@ -10,11 +10,11 @@ module makes that scrape see the whole fleet:
   MetricsRegistry` into ``<data_dir>/metrics/worker-<index>.json``
   (atomic replace, so a scrape never reads a torn file);
 * :func:`read_worker_snapshots` — collects every worker's latest file;
-* :func:`render_prometheus_multi` / :func:`aggregate_snapshot` — merge
-  the per-worker snapshots into one exposition document, tagging every
-  series with a ``worker`` label so per-process series stay
-  distinguishable (Prometheus sums across the label where a total is
-  wanted).
+* :func:`aggregate_snapshot` — merges the per-worker snapshots into one
+  document, tagging every series with a ``worker`` label so per-process
+  series stay distinguishable (Prometheus sums across the label where a
+  total is wanted); :func:`repro.telemetry.metrics.render_prometheus`
+  renders it as text.
 
 The files are snapshots, not streams: a worker that died keeps its last
 file only until the supervisor respawns that index — the spawn path
@@ -28,26 +28,20 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.telemetry import get_logger
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    _format_labels,
-    _format_value,
-    _label_key,
-)
+from repro.telemetry.metrics import MetricsRegistry
+from repro.utils import atomic_write_bytes
 
 __all__ = [
     "MetricsFlusher",
     "aggregate_snapshot",
     "prune_worker_snapshot",
     "read_worker_snapshots",
-    "render_prometheus_multi",
     "worker_snapshot_path",
 ]
 
@@ -72,20 +66,7 @@ def write_snapshot(
         "written_at": time.time(),
         "metrics": registry.snapshot(),
     }
-    payload = json.dumps(document, sort_keys=True).encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=metrics_dir, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write_bytes(path, json.dumps(document, sort_keys=True).encode("utf-8"))
     return path
 
 
@@ -212,32 +193,3 @@ def aggregate_snapshot(snapshots: Dict[int, Dict[str, Any]]) -> Dict[str, Any]:
                 }
                 slot["series"].append(tagged)
     return merged
-
-
-def render_prometheus_multi(snapshots: Dict[int, Dict[str, Any]]) -> str:
-    """Prometheus text exposition of a whole fleet's snapshots.
-
-    Mirrors :meth:`MetricsRegistry.render_prometheus` output, with every
-    series carrying a ``worker`` label identifying its process.
-    """
-    merged = aggregate_snapshot(snapshots)
-    lines: List[str] = []
-    for name in sorted(merged):
-        instrument = merged[name]
-        if instrument["help"]:
-            escaped = instrument["help"].replace("\\", "\\\\").replace("\n", "\\n")
-            lines.append(f"# HELP {name} {escaped}")
-        lines.append(f"# TYPE {name} {instrument['type']}")
-        for series in instrument["series"]:
-            key = _label_key(series["labels"])
-            if instrument["type"] == "histogram":
-                for bound, cumulative in series["buckets"].items():
-                    labels = _format_labels(key, extra=[("le", bound)])
-                    lines.append(f"{name}_bucket{labels} {cumulative}")
-                labels = _format_labels(key)
-                lines.append(f"{name}_sum{labels} {_format_value(series['sum'])}")
-                lines.append(f"{name}_count{labels} {series['count']}")
-            else:
-                labels = _format_labels(key)
-                lines.append(f"{name}{labels} {_format_value(series['value'])}")
-    return "\n".join(lines) + "\n"

@@ -20,9 +20,11 @@ registry-wide lock.
 The registry exports two wire formats:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-ready nested dict;
-* :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
-  exposition format (version 0.0.4), served by the service's
-  ``GET /metrics`` endpoint.
+* :func:`render_prometheus` — the Prometheus text exposition format
+  (version 0.0.4) of such a document, served by the service's
+  ``GET /metrics`` endpoint.  It renders one process's snapshot or a
+  pre-fork fleet's merged one
+  (:func:`repro.telemetry.aggregate.aggregate_snapshot`) alike.
 
 The module-level :data:`REGISTRY` is the process-wide default every
 instrumented module records into; tests construct private registries.
@@ -44,6 +46,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_FANOUT_BUCKETS",
     "parse_latency_buckets",
+    "render_prometheus",
 ]
 
 #: Wall-clock buckets (seconds) spanning sub-millisecond sampling calls
@@ -150,13 +153,6 @@ class Counter(_Instrument):
             items = sorted(self._series.items())
         return [{"labels": dict(key), "value": value} for key, value in items]
 
-    def render(self) -> List[str]:
-        lines = []
-        for series in self.snapshot_series():
-            labels = _format_labels(_label_key(series["labels"]))
-            lines.append(f"{self.name}{labels} {_format_value(series['value'])}")
-        return lines
-
 
 class Gauge(_Instrument):
     """A point-in-time value that can move in both directions."""
@@ -180,7 +176,6 @@ class Gauge(_Instrument):
             return float(self._series.get(_label_key(labels), 0.0))
 
     snapshot_series = Counter.snapshot_series
-    render = Counter.render
 
 
 class Histogram(_Instrument):
@@ -298,18 +293,6 @@ class Histogram(_Instrument):
             out.append(doc)
         return out
 
-    def render(self) -> List[str]:
-        lines = []
-        for series in self.snapshot_series():
-            key = _label_key(series["labels"])
-            for bound, cumulative in series["buckets"].items():
-                labels = _format_labels(key, extra=[("le", bound)])
-                lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            labels = _format_labels(key)
-            lines.append(f"{self.name}_sum{labels} {_format_value(series['sum'])}")
-            lines.append(f"{self.name}_count{labels} {series['count']}")
-        return lines
-
 
 class MetricsRegistry:
     """A named collection of instruments with get-or-create semantics.
@@ -414,18 +397,33 @@ class MetricsRegistry:
             for name, instrument in instruments
         }
 
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition format (0.0.4) of the registry."""
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        lines: List[str] = []
-        for name, instrument in instruments:
-            if instrument.help:
-                escaped = instrument.help.replace("\\", "\\\\").replace("\n", "\\n")
-                lines.append(f"# HELP {name} {escaped}")
-            lines.append(f"# TYPE {name} {instrument.metric_type}")
-            lines.extend(instrument.render())
-        return "\n".join(lines) + "\n"
+
+def render_prometheus(snapshot: Dict[str, Any]) -> str:
+    """The Prometheus text exposition format (0.0.4) of a snapshot document.
+
+    ``snapshot`` has :meth:`MetricsRegistry.snapshot`'s shape.  Series
+    and histogram buckets are written in the document's order, and
+    exemplars stay JSON-only: the 0.0.4 format predates them.
+    """
+    lines: List[str] = []
+    for name in sorted(snapshot):
+        instrument = snapshot[name]
+        if instrument["help"]:
+            escaped = instrument["help"].replace("\\", "\\\\").replace("\n", "\\n")
+            lines.append(f"# HELP {name} {escaped}")
+        lines.append(f"# TYPE {name} {instrument['type']}")
+        for series in instrument["series"]:
+            key = _label_key(series["labels"])
+            labels = _format_labels(key)
+            if instrument["type"] == "histogram":
+                for bound, cumulative in series["buckets"].items():
+                    le_labels = _format_labels(key, extra=[("le", bound)])
+                    lines.append(f"{name}_bucket{le_labels} {cumulative}")
+                lines.append(f"{name}_sum{labels} {_format_value(series['sum'])}")
+                lines.append(f"{name}_count{labels} {series['count']}")
+            else:
+                lines.append(f"{name}{labels} {_format_value(series['value'])}")
+    return "\n".join(lines) + "\n"
 
 
 #: The process-wide default registry every instrumented module uses.

@@ -10,7 +10,7 @@ Two operator questions the raw metrics cannot answer:
   under the lifetime cap.  Served by ``GET /budget`` and rendered by
   ``dpcopula budget``.
 
-* **How good is the data each served model generation produces?**
+* **How good is the data each served model produces?**
   :class:`UtilityProbe` periodically draws a small *deterministic*
   sample from every served model's compiled plan and compares it
   against the model's own fitted DP statistics — the released noisy
@@ -20,23 +20,17 @@ Two operator questions the raw metrics cannot answer:
   probe cycle, asserted by tests).  Per-column total-variation distance,
   pairwise Kendall-τ error (via the Gaussian-copula relation
   ``τ = (2/π)·asin(ρ)``), and a copula-misfit statistic (reusing the
-  goodness-of-fit machinery) are published as gauges labelled by model
-  and generation.  When a hot-swap changes a model's generation, the
-  probe compares the released statistics across generations and emits a
-  structured **drift event** if any shift exceeds the configured
-  threshold.
+  goodness-of-fit machinery) are published as gauges labelled by model.
 
 The probe runs on the fit-owner worker only (one prober per fleet); its
 latest results are persisted to ``<data-dir>/observatory/probes.json``
-and drift events are appended to ``observatory/drift.jsonl`` so *any*
-worker can serve them from ``GET /debug/observatory``.
+so *any* worker can serve them from ``GET /debug/observatory``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -59,7 +53,6 @@ __all__ = [
     "UtilityProbe",
     "budget_timelines",
     "load_probe_document",
-    "read_drift_events",
 ]
 
 _logger = get_logger("telemetry.observatory")
@@ -67,27 +60,27 @@ _logger = get_logger("telemetry.observatory")
 _PROBE_MARGIN_TVD = REGISTRY.gauge(
     "dpcopula_probe_margin_tvd",
     "Per-column TVD between a deterministic probe sample and the model's "
-    "released DP margin (labels: model, generation, attribute)",
+    "released DP margin (labels: model, attribute)",
 )
 _PROBE_MARGIN_TVD_MAX = REGISTRY.gauge(
     "dpcopula_probe_margin_tvd_max",
-    "Worst per-column probe TVD per model (labels: model, generation)",
+    "Worst per-column probe TVD per model (label: model)",
 )
 _PROBE_KWAY_TVD_MAX = REGISTRY.gauge(
     "dpcopula_probe_kway_tvd_max",
     "Worst two-way marginal TVD between the probe sample and the "
     "copula-implied pair distribution, over the strongest-|ρ| pairs "
-    "(labels: model, generation)",
+    "(label: model)",
 )
 _PROBE_TAU_ERROR = REGISTRY.gauge(
     "dpcopula_probe_tau_error",
     "Max pairwise |empirical τ − (2/π)·asin(ρ_DP)| of the probe sample "
-    "(labels: model, generation)",
+    "(label: model)",
 )
 _PROBE_COPULA_MISFIT = REGISTRY.gauge(
     "dpcopula_probe_copula_misfit",
     "Copula goodness-of-fit statistic of the probe sample against the "
-    "model's released correlation (labels: model, generation)",
+    "model's released correlation (label: model)",
 )
 _PROBE_RUNS = REGISTRY.counter(
     "dpcopula_probe_runs_total", "Completed utility-probe cycles"
@@ -99,18 +92,9 @@ _PROBE_FAILURES = REGISTRY.counter(
 _PROBE_SECONDS = REGISTRY.histogram(
     "dpcopula_probe_seconds", "Wall-clock seconds per utility-probe cycle"
 )
-_PROBE_DRIFT_EVENTS = REGISTRY.counter(
-    "dpcopula_probe_drift_events_total",
-    "Generation-to-generation drift events above threshold "
-    "(labels: model, metric)",
-)
-
-#: Drift-event log is bounded: when it exceeds this, it rotates once.
-_DRIFT_LOG_MAX_BYTES = 1024 * 1024
-
 #: The k-way gauge scores at most this many attribute pairs per model,
 #: ranked by |ρ| — the strongest dependencies are where sampler bugs
-#: (wrong Cholesky, stale plan) show up first.
+#: (wrong Cholesky, wrong margin table) show up first.
 _PROBE_MAX_PAIRS = 6
 
 #: Bucket bound for the probe's two-way marginal tables.
@@ -189,34 +173,14 @@ def load_probe_document(observatory_dir) -> Optional[Dict[str, Any]]:
         return None
 
 
-def read_drift_events(observatory_dir, limit: int = 50) -> List[Dict[str, Any]]:
-    """The most recent drift events (newest last), tolerant of a torn tail."""
-    path = Path(observatory_dir) / "drift.jsonl"
-    events: List[Dict[str, Any]] = []
-    for candidate in (path.with_name(path.name + ".1"), path):
-        try:
-            text = candidate.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                continue
-    return events[-int(limit):]
-
-
 # ---------------------------------------------------------------------------
 # Continuous utility probes
 # ---------------------------------------------------------------------------
 
 
-def probe_seed(model_id: str, generation: int) -> int:
-    """A stable 64-bit seed for one (model, generation) probe stream."""
-    digest = hashlib.blake2s(f"{model_id}:{int(generation)}".encode()).digest()
+def probe_seed(model_id: str) -> int:
+    """A stable 64-bit seed for one model's probe stream."""
+    digest = hashlib.blake2s(model_id.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -224,11 +188,11 @@ class UtilityProbe:
     """Continuously scores served models against their own DP statistics.
 
     ``registry`` is duck-typed to the model registry: ``list()`` returning
-    records with ``model_id``/``generation``, plus ``get(model_id)`` and
+    records with a ``model_id``, plus ``get(model_id)`` and
     ``get_plan(model_id)``.  Each cycle draws a deterministic sample from
-    every served model's plan (seeded by ``blake2s(model_id:generation)``
-    so repeated probes of the same generation are bitwise identical and
-    never perturb any serving RNG stream) and publishes utility gauges.
+    every served model's plan (seeded by ``blake2s(model_id)``, so
+    repeated probes of a model are bitwise identical and never perturb
+    any serving RNG stream) and publishes utility gauges.
     The raw dataset is never read: zero additional ε.
     """
 
@@ -239,7 +203,6 @@ class UtilityProbe:
         *,
         worker_label: str = "main",
         sample_size: int = 512,
-        drift_threshold: float = 0.05,
         interval: float = 0.0,
         max_models: int = 8,
     ):
@@ -249,10 +212,8 @@ class UtilityProbe:
         self.observatory_dir = Path(observatory_dir)
         self.worker_label = str(worker_label)
         self.sample_size = int(sample_size)
-        self.drift_threshold = float(drift_threshold)
         self.interval = float(interval)
         self.max_models = int(max_models)
-        self._baselines: Dict[str, Dict[str, Any]] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.cycles = 0
@@ -300,10 +261,9 @@ class UtilityProbe:
                 },
             )
         models: List[Dict[str, Any]] = []
-        drift_events: List[Dict[str, Any]] = []
         # These gauges are owned exclusively by the probe: clearing them
-        # each cycle drops series for deleted models and superseded
-        # generations instead of reporting them forever.
+        # each cycle drops series for models it no longer probes instead
+        # of reporting them forever.
         for gauge in (
             _PROBE_MARGIN_TVD,
             _PROBE_MARGIN_TVD_MAX,
@@ -314,7 +274,7 @@ class UtilityProbe:
             gauge.clear()
         for record in probed_records:
             try:
-                result, stats = self._probe_model(record)
+                result = self._probe_model(record)
             except Exception:  # noqa: BLE001 - one bad model, not the cycle
                 _PROBE_FAILURES.inc(model=record.model_id)
                 _logger.exception(
@@ -322,7 +282,6 @@ class UtilityProbe:
                 )
                 continue
             self._publish(result)
-            drift_events.extend(self._check_drift(record, stats, result))
             models.append(result)
         elapsed = time.perf_counter() - started
         document = {
@@ -330,7 +289,6 @@ class UtilityProbe:
             "worker": self.worker_label,
             "interval_seconds": self.interval,
             "sample_size": self.sample_size,
-            "drift_threshold": self.drift_threshold,
             "models_total": len(records),
             "models_probed": len(models),
             "probe_seconds": elapsed,
@@ -342,8 +300,6 @@ class UtilityProbe:
                 self.observatory_dir / "probes.json",
                 (json.dumps(document, sort_keys=True, indent=2) + "\n").encode(),
             )
-            if drift_events:
-                self._append_drift(drift_events)
         except OSError:
             _logger.exception("failed to persist probe results")
         _PROBE_RUNS.inc()
@@ -351,12 +307,11 @@ class UtilityProbe:
         self.cycles += 1
         return document
 
-    def _probe_model(self, record):
-        """Score one model; returns (JSON-ready result, raw DP statistics)."""
+    def _probe_model(self, record) -> Dict[str, Any]:
+        """Score one model; returns its JSON-ready result."""
         model = self.registry.get(record.model_id)
         plan = self.registry.get_plan(record.model_id)
-        generation = int(record.generation)
-        seed = probe_seed(record.model_id, generation)
+        seed = probe_seed(record.model_id)
         sample = plan.sample(self.sample_size, np.random.default_rng(seed))
         values = sample.values
         n = values.shape[0]
@@ -388,7 +343,7 @@ class UtilityProbe:
         # distributions the released copula *implies* (margins + Φ₂ at
         # the repaired ρ).  Both sides derive from released statistics
         # only, so this stays zero-ε; a healthy sampler sits at the
-        # sampling-noise floor, a wrong Cholesky or stale plan does not.
+        # sampling-noise floor, a wrong Cholesky or margin table does not.
         kway_tvd_max = 0.0
         if m >= 2:
             off = np.abs(np.triu(correlation, 1))
@@ -422,9 +377,8 @@ class UtilityProbe:
         pseudo = np.column_stack([cdf(values[:, j]) for j, cdf in enumerate(margins)])
         misfit = float(copula_probe_statistic(pseudo, correlation))
 
-        result = {
+        return {
             "model_id": record.model_id,
-            "generation": generation,
             "seed": seed,
             "sample_size": n,
             "margin_tvd": margin_tvd,
@@ -433,88 +387,12 @@ class UtilityProbe:
             "tau_error": tau_error,
             "copula_misfit": misfit,
         }
-        stats = {
-            "pmfs": [cdf.pmf for cdf in margins],
-            "correlation": correlation,
-        }
-        return result, stats
 
     def _publish(self, result: Dict[str, Any]) -> None:
         model_id = result["model_id"]
-        generation = str(result["generation"])
         for attribute, tvd in result["margin_tvd"].items():
-            _PROBE_MARGIN_TVD.set(
-                tvd, model=model_id, generation=generation, attribute=attribute
-            )
-        _PROBE_MARGIN_TVD_MAX.set(
-            result["margin_tvd_max"], model=model_id, generation=generation
-        )
-        _PROBE_KWAY_TVD_MAX.set(
-            result["kway_tvd_max"], model=model_id, generation=generation
-        )
-        _PROBE_TAU_ERROR.set(
-            result["tau_error"], model=model_id, generation=generation
-        )
-        _PROBE_COPULA_MISFIT.set(
-            result["copula_misfit"], model=model_id, generation=generation
-        )
-
-    # -- drift ---------------------------------------------------------
-
-    def _check_drift(self, record, stats, result) -> List[Dict[str, Any]]:
-        """Compare released DP statistics across a generation change."""
-        model_id = record.model_id
-        generation = int(record.generation)
-        baseline = self._baselines.get(model_id)
-        self._baselines[model_id] = {"generation": generation, **stats}
-        if baseline is None or baseline["generation"] == generation:
-            return []
-
-        shifts: Dict[str, float] = {}
-        old_pmfs, new_pmfs = baseline["pmfs"], stats["pmfs"]
-        if len(old_pmfs) != len(new_pmfs) or any(
-            old.shape != new.shape for old, new in zip(old_pmfs, new_pmfs)
-        ):
-            shifts["margin_shift"] = 1.0
-            shifts["dependence_shift"] = 1.0
-        else:
-            shifts["margin_shift"] = max(
-                0.5 * float(np.abs(new - old).sum())
-                for old, new in zip(old_pmfs, new_pmfs)
-            )
-            delta = np.abs(stats["correlation"] - baseline["correlation"])
-            off = ~np.eye(delta.shape[0], dtype=bool)
-            shifts["dependence_shift"] = (
-                float(delta[off].max()) if off.any() else 0.0
-            )
-
-        events = []
-        for metric, shift in sorted(shifts.items()):
-            if shift <= self.drift_threshold:
-                continue
-            event = {
-                "ts": time.time(),
-                "model_id": model_id,
-                "from_generation": baseline["generation"],
-                "to_generation": generation,
-                "metric": metric,
-                "value": shift,
-                "threshold": self.drift_threshold,
-                "worker": self.worker_label,
-            }
-            events.append(event)
-            _PROBE_DRIFT_EVENTS.inc(model=model_id, metric=metric)
-            _logger.warning("model drift detected", extra=event)
-        return events
-
-    def _append_drift(self, events: List[Dict[str, Any]]) -> None:
-        path = self.observatory_dir / "drift.jsonl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            if path.stat().st_size > _DRIFT_LOG_MAX_BYTES:
-                os.replace(path, path.with_name(path.name + ".1"))
-        except OSError:
-            pass
-        with open(path, "a", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            _PROBE_MARGIN_TVD.set(tvd, model=model_id, attribute=attribute)
+        _PROBE_MARGIN_TVD_MAX.set(result["margin_tvd_max"], model=model_id)
+        _PROBE_KWAY_TVD_MAX.set(result["kway_tvd_max"], model=model_id)
+        _PROBE_TAU_ERROR.set(result["tau_error"], model=model_id)
+        _PROBE_COPULA_MISFIT.set(result["copula_misfit"], model=model_id)

@@ -108,6 +108,21 @@ class TestBrokenDocsAreCaught:
         errors = check_docs.run_all()
         assert any("unknown dpcopula command 'frobnicate'" in e for e in errors)
 
+    def test_unknown_flag_in_prose(self, doc_tree):
+        (doc_tree / "docs" / "GUIDE.md").write_text(
+            "Tune it with `--no-such-flag`.\n"
+        )
+        errors = check_docs.run_all()
+        assert any("GUIDE.md:1: no parser" in e for e in errors)
+        assert any("flag --no-such-flag" in e for e in errors)
+
+    def test_known_prose_flags_pass(self, doc_tree):
+        (doc_tree / "docs" / "GUIDE.md").write_text(
+            "Run `dpcopula serve --workers N`, or "
+            "`python -m repro.experiments --claims`; `--json` everywhere.\n"
+        )
+        assert check_docs.run_all() == []
+
     def test_known_flags_pass(self, doc_tree):
         (doc_tree / "docs" / "GUIDE.md").write_text(
             "```bash\n"

@@ -10,22 +10,13 @@ from repro.io import ReleasedModel
 
 
 @pytest.fixture
-def make_released_model(small_dataset):
-    """Factory for distinct releases of the 200-record conftest dataset."""
-
-    def build(epsilon: float = 1.0, seed: int = 0) -> ReleasedModel:
-        synthesizer = DPCopulaKendall(epsilon=epsilon, rng=seed)
-        synthesizer.fit(small_dataset)
-        return ReleasedModel.from_synthesizer(synthesizer)
-
-    return build
-
-
-@pytest.fixture
-def released_model(make_released_model) -> ReleasedModel:
-    return make_released_model()
+def released_model(small_dataset) -> ReleasedModel:
+    """A quick fitted release of the 200-record conftest dataset."""
+    synthesizer = DPCopulaKendall(epsilon=1.0, rng=0)
+    synthesizer.fit(small_dataset)
+    return ReleasedModel.from_synthesizer(synthesizer)
 
 
 @pytest.fixture
 def plan(released_model):
-    return compile_plan(released_model, "m-test", generation=1)
+    return compile_plan(released_model, "m-test")

@@ -13,7 +13,6 @@ class _BlockingPlan:
     """A stub plan whose batch execution parks until released."""
 
     model_id = "m-blocking"
-    generation = 1
 
     def __init__(self):
         self.started = threading.Event()
@@ -187,7 +186,6 @@ class TestFailureIsolation:
 
         class _FailingPlan:
             model_id = "m-fail"
-            generation = 1
 
             def sample_batch(self, requests):
                 raise RuntimeError("boom")

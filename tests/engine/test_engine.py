@@ -1,9 +1,9 @@
-"""The engine facade: seeding contract, coalescer composition, hot-swaps."""
+"""The engine facade: seeding contract and coalescer composition."""
 
 import numpy as np
 import pytest
 
-from repro.engine import RequestCoalescer, SamplingEngine, compile_plan
+from repro.engine import RequestCoalescer, SamplingEngine
 
 
 @pytest.fixture
@@ -46,18 +46,3 @@ class TestComposition:
         served = engine.sample("m-test", 150, seed=5)
         np.testing.assert_array_equal(served.values, baseline.values)
         assert engine.pending() == 0
-
-    def test_follows_generation(self, released_model, make_released_model):
-        """A provider that swaps generations is served the new plan."""
-        plans = {"m-1": compile_plan(released_model, "m-1", generation=1)}
-        engine = SamplingEngine(plans.__getitem__)
-        before = engine.sample("m-1", 60, seed=9)
-
-        swapped = make_released_model(epsilon=2.0, seed=1)
-        plans["m-1"] = compile_plan(swapped, "m-1", generation=2)
-        after = engine.sample("m-1", 60, seed=9)
-
-        np.testing.assert_array_equal(
-            after.values, swapped.sample(60, rng=np.random.default_rng(9)).values
-        )
-        assert not np.array_equal(before.values, after.values)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.engine import SamplerPlan, compile_plan
+from repro.engine import SamplerPlan
 from repro.stats.ecdf import HistogramCDF
 
 
 class TestCompile:
     def test_metadata_carried(self, plan, released_model):
         assert plan.model_id == "m-test"
-        assert plan.generation == 1
         assert plan.m == released_model.schema.dimensions
         assert plan.n_records == released_model.n_records
 
@@ -20,10 +19,6 @@ class TestCompile:
             released_model.correlation,
             atol=1e-8,
         )
-
-    def test_generation_tag_flows_through(self, released_model):
-        plan = compile_plan(released_model, "m-x", generation=7)
-        assert plan.generation == 7
 
     def test_dimension_mismatch_rejected(self, plan, released_model):
         margins = [HistogramCDF(counts) for counts in released_model.margin_counts]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.dp.budget import BudgetExhaustedError
-from repro.service.accountant import PrivacyAccountant
+from repro.service.accountant import PrivacyAccountant, replay_ledger
 
 
 @pytest.fixture
@@ -141,6 +141,27 @@ class TestTornTail:
         rebooted = PrivacyAccountant(ledger_path, epsilon_cap=2.0)
         assert rebooted.spent("adult") == pytest.approx(0.75)
         assert len(rebooted.entries("adult")) == 2
+
+    @pytest.mark.parametrize(
+        "tail, spent",
+        [
+            ('{"dataset": "adult", "epsilon": 2.0, "key": "fit:j2"}', 3.0),
+            ('{"dataset": "adult", "eps', 1.0),
+        ],
+        ids=["parseable", "torn"],
+    )
+    def test_offline_replay_agrees_with_the_accountant(
+        self, ledger_path, tail, spent
+    ):
+        # replay_ledger backs GET /budget and `dpcopula budget`: a last
+        # line without its newline counts exactly when the accountant
+        # counts it.  Read it first: the accountant repairs the file.
+        ledger_path.write_text(
+            '{"dataset": "adult", "epsilon": 1.0, "key": "fit:j1"}\n' + tail
+        )
+        offline = sum(entry["epsilon"] for entry in replay_ledger(ledger_path))
+        accountant = PrivacyAccountant(ledger_path, epsilon_cap=10.0)
+        assert offline == accountant.spent("adult") == pytest.approx(spent)
 
     def test_summary_shape(self, ledger_path):
         accountant = PrivacyAccountant(ledger_path, epsilon_cap=3.0)

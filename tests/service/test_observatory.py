@@ -1,13 +1,11 @@
-"""Tests for the fleet observatory: budget timelines, utility probes,
-drift detection and the /budget + /debug/observatory endpoints."""
+"""Tests for the fleet observatory: budget timelines, utility probes and
+the /budget + /debug/observatory endpoints."""
 
 import json
 import urllib.request
 
 import pytest
 
-from repro.core.dpcopula import DPCopulaKendall
-from repro.io import ReleasedModel
 from repro.service import ServiceConfig, SynthesisService, build_server
 from repro.service.registry import ModelRegistry
 from repro.telemetry.metrics import REGISTRY
@@ -16,7 +14,6 @@ from repro.telemetry.observatory import (
     budget_timelines,
     load_probe_document,
     probe_seed,
-    read_drift_events,
 )
 
 from tests.service.test_observability import upload_and_fit
@@ -67,10 +64,9 @@ class TestBudgetTimelines:
 
 
 class TestProbeSeed:
-    def test_deterministic_per_model_and_generation(self):
-        assert probe_seed("m1", 1) == probe_seed("m1", 1)
-        assert probe_seed("m1", 1) != probe_seed("m1", 2)
-        assert probe_seed("m1", 1) != probe_seed("m2", 1)
+    def test_deterministic_per_model(self):
+        assert probe_seed("m1") == probe_seed("m1")
+        assert probe_seed("m1") != probe_seed("m2")
 
 
 @pytest.fixture
@@ -81,7 +77,7 @@ def registry_with_model(tmp_path, released_model):
 
 
 class TestUtilityProbe:
-    def test_run_once_is_deterministic_per_generation(
+    def test_run_once_is_deterministic(
         self, tmp_path, registry_with_model
     ):
         registry, model_id = registry_with_model
@@ -94,10 +90,10 @@ class TestUtilityProbe:
         (model_a,) = first["models"]
         (model_b,) = second["models"]
         assert model_a["model_id"] == model_id
-        assert model_a["generation"] == 1
+        assert model_a["seed"] == probe_seed(model_id)
         assert model_a["sample_size"] == 64
-        # Same (model, generation) → same seed → bitwise-identical
-        # sample → identical utility numbers.
+        # Same model → same seed → bitwise-identical sample → identical
+        # utility numbers.
         assert model_a["margin_tvd"] == model_b["margin_tvd"]
         assert model_a["tau_error"] == model_b["tau_error"]
         assert model_a["copula_misfit"] == model_b["copula_misfit"]
@@ -114,17 +110,12 @@ class TestUtilityProbe:
         registry, model_id = registry_with_model
         probe = UtilityProbe(registry, tmp_path / "obs", sample_size=64)
         document = probe.run_once()
-        generation = "1"
         assert (
-            REGISTRY.get("dpcopula_probe_margin_tvd_max").value(
-                model=model_id, generation=generation
-            )
+            REGISTRY.get("dpcopula_probe_margin_tvd_max").value(model=model_id)
             == document["models"][0]["margin_tvd_max"]
         )
         assert (
-            REGISTRY.get("dpcopula_probe_kway_tvd_max").value(
-                model=model_id, generation=generation
-            )
+            REGISTRY.get("dpcopula_probe_kway_tvd_max").value(model=model_id)
             == document["models"][0]["kway_tvd_max"]
         )
         persisted = load_probe_document(tmp_path / "obs")
@@ -142,46 +133,6 @@ class TestUtilityProbe:
         # Probing is pure post-processing of the released model: the
         # privacy ledger is byte-identical across a cycle.
         assert ledger.read_bytes() == before
-
-    def test_generation_swap_emits_drift_event(
-        self, tmp_path, registry_with_model, small_dataset
-    ):
-        registry, model_id = registry_with_model
-        probe = UtilityProbe(
-            registry, tmp_path / "obs", sample_size=64, drift_threshold=1e-9
-        )
-        probe.run_once()
-        assert read_drift_events(tmp_path / "obs") == []
-
-        synthesizer = DPCopulaKendall(epsilon=2.0, rng=1)
-        synthesizer.fit(small_dataset)
-        registry.replace(model_id, ReleasedModel.from_synthesizer(synthesizer))
-        drift_counter = REGISTRY.get("dpcopula_probe_drift_events_total")
-        probe.run_once()
-
-        events = read_drift_events(tmp_path / "obs")
-        assert events, "generation swap above threshold must emit drift"
-        assert {e["model_id"] for e in events} == {model_id}
-        assert all(e["from_generation"] == 1 for e in events)
-        assert all(e["to_generation"] == 2 for e in events)
-        assert {e["metric"] for e in events} <= {
-            "margin_shift",
-            "dependence_shift",
-        }
-        assert all(e["value"] > 1e-9 for e in events)
-        for event in events:
-            assert (
-                drift_counter.value(model=model_id, metric=event["metric"]) >= 1
-            )
-
-    def test_same_generation_never_drifts(self, tmp_path, registry_with_model):
-        registry, _ = registry_with_model
-        probe = UtilityProbe(
-            registry, tmp_path / "obs", sample_size=64, drift_threshold=0.0
-        )
-        probe.run_once()
-        probe.run_once()
-        assert read_drift_events(tmp_path / "obs") == []
 
     def test_failed_model_is_counted_not_fatal(self, tmp_path, registry_with_model):
         registry, model_id = registry_with_model
@@ -238,7 +189,6 @@ class TestServiceEndpoints:
         assert body["served_by"] == "main"
         assert body["budget"]["epsilon_cap"] == 3.0
         assert body["probes"]["models_probed"] == 1
-        assert body["drift_events"] == []
         assert body["traces"]["enabled"] is True
         assert any(
             entry["file"].startswith("trace-")

@@ -145,7 +145,6 @@ class TestPlansAndHotSwap:
         first = registry.get_plan("m1")
         assert first is registry.get_plan("m1")
         assert first.model_id == "m1"
-        assert first.generation == registry.generation("m1") == 1
 
     def test_plan_samples_bitwise_like_model(self, tmp_path, released_model):
         registry = ModelRegistry(tmp_path / "models")
@@ -155,60 +154,6 @@ class TestPlansAndHotSwap:
             plan.sample(100, np.random.default_rng(3)).values,
             released_model.sample(100, rng=np.random.default_rng(3)).values,
         )
-
-    def test_replace_bumps_generation_and_plan(
-        self, tmp_path, released_model, small_dataset
-    ):
-        from repro.core.dpcopula import DPCopulaKendall
-        from repro.io import ReleasedModel
-
-        registry = ModelRegistry(tmp_path / "models")
-        registry.put(released_model, dataset_id="d", method="kendall", model_id="m1")
-        stale = registry.get_plan("m1")
-
-        swapped = ReleasedModel.from_synthesizer(
-            DPCopulaKendall(epsilon=2.0, rng=9).fit(small_dataset)
-        )
-        record = registry.replace("m1", swapped)
-        assert record.epsilon == swapped.epsilon
-        assert registry.generation("m1") == 2
-
-        fresh = registry.get_plan("m1")
-        assert fresh is not stale
-        assert fresh.generation == 2
-        np.testing.assert_array_equal(
-            fresh.sample(50, np.random.default_rng(1)).values,
-            swapped.sample(50, rng=np.random.default_rng(1)).values,
-        )
-        # The durable payload was swapped too: a fresh process sees it.
-        rebooted = ModelRegistry(tmp_path / "models")
-        np.testing.assert_allclose(
-            rebooted.get("m1").correlation, swapped.correlation
-        )
-
-    def test_replace_unknown_id(self, tmp_path, released_model):
-        registry = ModelRegistry(tmp_path / "models")
-        with pytest.raises(KeyError):
-            registry.replace("nope", released_model)
-
-    def test_generation_survives_eviction(self, tmp_path, released_model):
-        """Eviction must not reset generations (stale-plan invalidation)."""
-        registry = ModelRegistry(tmp_path / "models", max_cached_models=1)
-        registry.put(released_model, dataset_id="d", method="kendall", model_id="m1")
-        registry.replace("m1", released_model)
-        assert registry.generation("m1") == 2
-        registry.put(released_model, dataset_id="d", method="kendall", model_id="m2")
-        assert registry.cached_models() == 1  # m1 evicted
-        assert registry.get_plan("m1").generation == 2
-
-
-# -- cross-process generation watching ------------------------------------
-
-def _replace_in_child(models_dir, model_id):
-    from repro.service.registry import ModelRegistry
-
-    registry = ModelRegistry(models_dir)
-    registry.replace(model_id, registry.get(model_id))
 
 
 class TestMalformedModel:
@@ -225,33 +170,60 @@ class TestMalformedModel:
             ModelRegistry(tmp_path / "models").get_plan("m1")
 
 
-class TestCrossProcessGenerations:
-    def test_sibling_replace_is_seen_through_sidecar_fingerprint(
+def _put_in_child(models_dir, model):
+    ModelRegistry(models_dir).put(
+        model, dataset_id="d", method="kendall", model_id="m1"
+    )
+
+
+class TestAcrossProcesses:
+    def test_model_put_by_another_process_samples_bitwise(
         self, tmp_path, released_model
     ):
-        """A replace() in another process invalidates this one's cache.
+        """A registry that never cached a model serves it from disk.
 
-        The parent warms its in-memory cache and compiled plan first, so
-        only the sidecar fingerprint watch can reveal the swap — there
-        is no shared memory between the two registries.
+        This registry exists before a sibling process registers the
+        model, so its first lookup loads and compiles the durable files.
         """
         import multiprocessing
 
         models_dir = tmp_path / "models"
         registry = ModelRegistry(models_dir)
-        registry.put(
-            released_model, dataset_id="d", method="kendall", model_id="m1"
+        child = multiprocessing.get_context("fork").Process(
+            target=_put_in_child, args=(models_dir, released_model)
         )
-        assert registry.get_plan("m1").generation == 1  # warm the cache
-
-        ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_replace_in_child, args=(models_dir, "m1"))
         child.start()
         child.join(timeout=60)
         assert child.exitcode == 0
 
-        assert registry.generation("m1") == 2
-        assert registry.record("m1").generation == 2
-        assert registry.get_plan("m1").generation == 2
-        # A third process (fresh registry) agrees on the durable state.
-        assert ModelRegistry(models_dir).generation("m1") == 2
+        assert registry.cached_models() == 0
+        np.testing.assert_array_equal(
+            registry.get_plan("m1").sample(100, np.random.default_rng(5)).values,
+            released_model.sample(100, rng=np.random.default_rng(5)).values,
+        )
+
+    def test_sidecar_written_by_an_older_version_serves_the_same_records(
+        self, tmp_path, released_model
+    ):
+        """Older sidecars carry a key this version no longer writes."""
+        from repro.service import ServiceConfig, SynthesisService
+
+        config = ServiceConfig(data_dir=tmp_path / "data")
+        config.ensure_layout()
+        ModelRegistry(config.models_dir).put(
+            released_model, dataset_id="d", method="kendall", model_id="m1"
+        )
+        sidecar = config.models_dir / "m1.json"
+        current = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**current, "generation": 1}, indent=2))
+
+        service = SynthesisService(config)
+        try:
+            assert service.registry.record("m1").to_dict() == current
+            assert [r.model_id for r in service.registry.list()] == ["m1"]
+            expected = released_model.sample(25, rng=np.random.default_rng(7))
+            document = service.sample("m1", n=25, seed=7)
+            assert document["records"] == expected.values.tolist()
+            assert document["epsilon"] == current["epsilon"]
+        finally:
+            service.close()

@@ -11,6 +11,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    render_prometheus,
 )
 
 
@@ -132,7 +133,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("jobs_total", "finished jobs").inc(2, status="done")
         registry.histogram("latency_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        text = registry.render_prometheus()
+        text = render_prometheus(registry.snapshot())
         assert "# HELP jobs_total finished jobs" in text
         assert "# TYPE jobs_total counter" in text
         assert 'jobs_total{status="done"} 2' in text
@@ -146,7 +147,7 @@ class TestRegistry:
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
         registry.counter("c_total").inc(path='a"b\\c\nd')
-        line = registry.render_prometheus().splitlines()[-1]
+        line = render_prometheus(registry.snapshot()).splitlines()[-1]
         assert line == 'c_total{path="a\\"b\\\\c\\nd"} 1'
 
     def test_reset_clears_series_but_keeps_instruments(self):
@@ -206,7 +207,7 @@ class TestExemplars:
             "h_seconds", "Latency", buckets=(1.0,)
         )
         histogram.observe(0.2, exemplar="trace-1")
-        text = registry.render_prometheus()
+        text = render_prometheus(registry.snapshot())
         assert "trace-1" not in text
         assert "exemplar" not in text
         # ...but they are present in the JSON snapshot.

@@ -1,5 +1,7 @@
 """Tests for the user-facing ``dpcopula`` command."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,6 @@ _SERVE_DEFAULTS = {
     "trace_export_files": 2,
     "probe_interval_seconds": 0.0,
     "probe_sample_size": 512,
-    "probe_drift_threshold": 0.05,
 }
 
 # (serve flags, DPCOPULA_WORKERS, fields that differ from _SERVE_DEFAULTS)
@@ -122,7 +123,6 @@ _SERVE_CONFIG_TABLE = {
             "--workers", "2", "--slow-request-threshold", "0.5",
             "--latency-buckets", "0.5,2", "--no-trace-export",
             "--probe-interval", "3", "--probe-sample-size", "64",
-            "--probe-drift-threshold", "0.1",
         ],
         None,
         {
@@ -144,7 +144,6 @@ _SERVE_CONFIG_TABLE = {
             "trace_export_enabled": False,
             "probe_interval_seconds": 3.0,
             "probe_sample_size": 64,
-            "probe_drift_threshold": 0.1,
         },
     ),
     "no-trace-export": (["--no-trace-export"], None, {"trace_export_enabled": False}),
@@ -159,7 +158,7 @@ _SERVE_CONFIG_TABLE = {
 class TestServeConfig:
     """``dpcopula serve``'s flags come from ServiceConfig's fields."""
 
-    def test_parser_offers_the_23_serve_flags(self):
+    def test_parser_offers_the_22_serve_flags(self):
         parser = build_parser()
         commands = next(
             action for action in parser._actions if action.dest == "command"
@@ -177,7 +176,7 @@ class TestServeConfig:
             "--max-coalesced-records", "--sample-queue-limit",
             "--model-cache-size", "--slow-request-threshold",
             "--latency-buckets", "--no-trace-export", "--probe-interval",
-            "--probe-sample-size", "--probe-drift-threshold",
+            "--probe-sample-size",
         }
 
     @pytest.mark.parametrize("row", list(_SERVE_CONFIG_TABLE))
@@ -232,6 +231,44 @@ class TestServeConfig:
         assert config.slow_request_seconds == 0.0
         with pytest.raises(ValueError, match="slow_request_seconds must be >= 0"):
             ServiceConfig(data_dir=tmp_path, slow_request_seconds=-1.0)
+
+
+class TestObservatoryCommands:
+    def test_budget_counts_an_unterminated_last_ledger_line(
+        self, tmp_path, capsys
+    ):
+        # The append that wrote the 2.0 entry died before its newline;
+        # the running service's accountant counts the entry.
+        (tmp_path / "ledger.jsonl").write_text(
+            '{"dataset": "adult", "epsilon": 1.0, "key": "fit:j1"}\n'
+            '{"dataset": "adult", "epsilon": 2.0, "key": "fit:j2"}'
+        )
+        assert main(["budget", "--data-dir", str(tmp_path), "--json"]) == 0
+        (timeline,) = json.loads(capsys.readouterr().out)["datasets"]
+        assert timeline["epsilon_spent"] == 3.0
+
+    def test_top_renders_probe_results_offline(
+        self, tmp_path, small_dataset, capsys
+    ):
+        from repro.core.dpcopula import DPCopulaKendall
+        from repro.io import ReleasedModel
+        from repro.service.registry import ModelRegistry
+        from repro.telemetry.observatory import UtilityProbe
+
+        model = ReleasedModel.from_synthesizer(
+            DPCopulaKendall(epsilon=1.0, rng=0).fit(small_dataset)
+        )
+        registry = ModelRegistry(tmp_path / "models")
+        registry.put(model, dataset_id="d", method="kendall", model_id="m1")
+        UtilityProbe(registry, tmp_path / "observatory", sample_size=64).run_once()
+
+        assert main(["top", "--data-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("-- utility probes --") + 2
+        assert lines[header].split() == [
+            "MODEL", "TVD(max)", "2WAY(max)", "TAU", "ERR", "MISFIT"
+        ]
+        assert lines[header + 1].split()[0] == "m1"
 
 
 class TestSynthesize:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks, run in CI (`python tools/check_docs.py`).
 
-Four checks over ``README.md`` and ``docs/*.md``:
+Five checks over ``README.md`` and ``docs/*.md``:
 
 1. **Links** — every relative markdown link resolves to an existing
    file or directory in the repository.
@@ -12,12 +12,17 @@ Four checks over ``README.md`` and ``docs/*.md``:
 4. **CLI flags** — every ``--flag`` a ``dpcopula <command>`` line in a
    ```` ```bash ```` block mentions actually exists on that
    subcommand's argument parser, so the docs cannot drift from the CLI.
+5. **Prose flags** — every ``--flag`` inside a backticked span of prose
+   exists on a parser the docs name: a ``dpcopula`` subcommand's,
+   ``python -m repro.experiments``'s, or one a benchmark script declares
+   with ``add_argument``.  A deleted flag cannot linger in a sentence.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
 import re
 import sys
@@ -29,6 +34,8 @@ DOCS_DIR = REPO_ROOT / "docs"
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\S*)\s*$")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 
 
@@ -194,6 +201,49 @@ def check_cli_flags(files: List[Path]) -> List[str]:
     return errors
 
 
+def _benchmark_flags() -> Set[str]:
+    """Every ``--flag`` a benchmark script passes to ``add_argument``."""
+    flags: Set[str] = set()
+    for script in sorted((REPO_ROOT / "benchmarks").rglob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+            ):
+                flags.update(
+                    arg.value
+                    for arg in node.args
+                    if isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                    and arg.value.startswith("--")
+                )
+    return flags
+
+
+def check_prose_flags(files: List[Path]) -> List[str]:
+    from repro.experiments.cli import build_parser as experiments_parser
+
+    known = set().union(*_cli_option_index().values(), _benchmark_flags())
+    known.update(
+        option
+        for action in experiments_parser()._actions
+        for option in action.option_strings
+    )
+    errors = []
+    for path in files:
+        rel = path.relative_to(REPO_ROOT)
+        for lineno, line in _iter_prose_lines(path):
+            for span in CODE_SPAN_RE.findall(line):
+                for flag in FLAG_RE.findall(span):
+                    if flag not in known:
+                        errors.append(
+                            f"{rel}:{lineno}: no parser the docs name has "
+                            f"flag {flag}"
+                        )
+    return errors
+
+
 def run_all() -> List[str]:
     files = doc_files()
     return [
@@ -201,6 +251,7 @@ def run_all() -> List[str]:
         *check_reachability(),
         *check_doctests(files),
         *check_cli_flags(files),
+        *check_prose_flags(files),
     ]
 
 
@@ -212,7 +263,10 @@ def main() -> int:
     if errors:
         print(f"check_docs: {len(errors)} problem(s) across {count} files")
         return 1
-    print(f"check_docs: {count} files OK (links, reachability, doctests, CLI flags)")
+    print(
+        f"check_docs: {count} files OK "
+        "(links, reachability, doctests, CLI flags, prose flags)"
+    )
     return 0
 
 

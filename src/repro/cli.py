@@ -63,7 +63,7 @@ from contextlib import nullcontext
 from repro.core.dpcopula import DPCopulaKendall, DPCopulaMLE
 from repro.core.hybrid import DPCopulaHybrid
 from repro.io import ReleasedModel, load_dataset_csv, save_dataset_csv
-from repro.parallel import BACKENDS
+from repro.parallel import BACKENDS, ExecutionContext
 from repro.queries.metrics import utility_report
 from repro.service.config import DEFAULT_EPSILON_CAP, ServiceConfig, serve_flags
 from repro.telemetry import trace
@@ -103,10 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument(
         "--parallel-backend",
         choices=BACKENDS,
-        default=None,
-        help="execution backend for the fit's hot loops (default: "
-        "DPCOPULA_PARALLEL env var, else serial); results are identical "
-        "on every backend for a fixed --seed",
+        default="serial",
+        help="execution backend for the fit's hot loops (default: serial); "
+        "results are identical on every backend for a fixed --seed",
     )
     synthesize.add_argument(
         "--parallel-workers",
@@ -353,17 +352,6 @@ def _add_setting_flag(parser, flag: str, setting) -> None:
     )
 
 
-def _parallel_context(args):
-    """Build the ExecutionContext the synthesize command was asked for."""
-    from repro.parallel import ExecutionContext, resolve_context
-
-    if args.parallel_backend is None:
-        return resolve_context(None)
-    return ExecutionContext(
-        backend=args.parallel_backend, max_workers=args.parallel_workers
-    )
-
-
 def _synthesize(args) -> int:
     if args.save_model and args.method == "hybrid":
         print(
@@ -375,7 +363,9 @@ def _synthesize(args) -> int:
         return 2
     data = load_dataset_csv(args.input)
     print(f"loaded {data}")
-    context = _parallel_context(args)
+    context = ExecutionContext(
+        backend=args.parallel_backend, max_workers=args.parallel_workers
+    )
     profiling = (
         trace.trace_root("synthesize", method=args.method)
         if args.profile
@@ -639,21 +629,6 @@ def _fetch_json(url: str):
         return json.loads(response.read().decode("utf-8"))
 
 
-def _offline_budget(data_dir: str, epsilon_cap: float):
-    """Replay a serve data directory's ledger without a running service."""
-    from pathlib import Path
-
-    from repro.service.accountant import replay_ledger
-    from repro.telemetry.observatory import budget_timelines
-
-    root = Path(data_dir)
-    datasets = sorted(
-        sidecar.stem for sidecar in (root / "datasets").glob("*.json")
-    ) if (root / "datasets").exists() else []
-    entries = replay_ledger(root / "ledger.jsonl")
-    return budget_timelines(entries, epsilon_cap, datasets=datasets)
-
-
 def _format_timestamp(value) -> str:
     import datetime
 
@@ -697,7 +672,9 @@ def _budget(args) -> int:
     if args.url:
         document = _fetch_json(args.url.rstrip("/") + "/budget")
     else:
-        document = _offline_budget(args.data_dir, args.epsilon_cap)
+        from repro.service.accountant import budget_overview
+
+        document = budget_overview(args.data_dir, args.epsilon_cap)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -711,13 +688,14 @@ def _observatory_document(args):
         return _fetch_json(args.url.rstrip("/") + "/debug/observatory")
     from pathlib import Path
 
+    from repro.service.accountant import budget_overview
     from repro.telemetry.export import list_trace_files
     from repro.telemetry.observatory import load_probe_document
 
     root = Path(args.data_dir)
     return {
         "served_by": "offline",
-        "budget": _offline_budget(args.data_dir, args.epsilon_cap),
+        "budget": budget_overview(args.data_dir, args.epsilon_cap),
         "probes": load_probe_document(root / "observatory"),
         "traces": {"enabled": None, "files": list_trace_files(root / "traces")},
         "workers": [],

@@ -62,9 +62,9 @@ class DPCopulaSynthesizer(abc.ABC):
     rng:
         Seed or generator for all randomness (noise and sampling).
     context:
-        :class:`~repro.parallel.ExecutionContext` (or spec string) the
-        correlation estimators fan their independent work units out
-        over (pairwise tau coefficients, per-block MLE fits).  Default
+        :class:`~repro.parallel.ExecutionContext` the correlation
+        estimators fan their independent work units out over (pairwise
+        tau coefficients, per-block MLE fits).  Default (``None``)
         serial; every backend yields identical results.
     """
 
@@ -76,7 +76,7 @@ class DPCopulaSynthesizer(abc.ABC):
         k: float = DEFAULT_RATIO_K,
         margin_publisher: Optional[HistogramPublisher] = None,
         rng: RngLike = None,
-        context: Union[ExecutionContext, str, None] = None,
+        context: Optional[ExecutionContext] = None,
     ):
         check_positive("epsilon", epsilon)
         check_positive("k", k)
@@ -269,7 +269,7 @@ class DPCopulaKendall(DPCopulaSynthesizer):
         tau_method: str = "merge",
         repair: str = "eigenvalue",
         rng: RngLike = None,
-        context: Union[ExecutionContext, str, None] = None,
+        context: Optional[ExecutionContext] = None,
     ):
         super().__init__(
             epsilon, k=k, margin_publisher=margin_publisher, rng=rng, context=context
@@ -313,7 +313,7 @@ class DPCopulaMLE(DPCopulaSynthesizer):
         l: Optional[int] = None,
         estimator: str = "normal_scores",
         rng: RngLike = None,
-        context: Union[ExecutionContext, str, None] = None,
+        context: Optional[ExecutionContext] = None,
     ):
         super().__init__(
             epsilon, k=k, margin_publisher=margin_publisher, rng=rng, context=context

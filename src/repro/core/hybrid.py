@@ -23,7 +23,7 @@ privacy issue).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Type, Union
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -91,11 +91,11 @@ class DPCopulaHybrid:
         Attributes to partition on; ``None`` auto-detects attributes with
         domain size below the continuity threshold.
     context:
-        :class:`~repro.parallel.ExecutionContext` (or spec string) over
-        which the per-cell fits fan out.  Parallelism is across cells
-        only — each cell's synthesizer runs serially inside its worker
-        with an independent child generator, so results are identical
-        for every backend.
+        :class:`~repro.parallel.ExecutionContext` over which the
+        per-cell fits fan out (``None``: serial).  Parallelism is
+        across cells only — each cell's synthesizer runs serially
+        inside its worker with an independent child generator, so
+        results are identical for every backend.
     method_kwargs:
         Extra keyword arguments forwarded to the per-cell synthesizer.
     """
@@ -112,7 +112,7 @@ class DPCopulaHybrid:
         small_domain_indices: Optional[Sequence[int]] = None,
         min_fit_records: int = 10,
         rng: RngLike = None,
-        context: Union[ExecutionContext, str, None] = None,
+        context: Optional[ExecutionContext] = None,
         **method_kwargs,
     ):
         check_positive("epsilon", epsilon)

@@ -55,7 +55,7 @@ def dp_kendall_correlation(
     subsample: Union[str, int, None] = "auto",
     tau_method: str = "merge",
     repair: str = "eigenvalue",
-    context: Union[ExecutionContext, str, None] = None,
+    context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Compute the DP correlation matrix estimator ``P̃`` (Algorithm 5).
 
@@ -74,8 +74,8 @@ def dp_kendall_correlation(
     repair:
         ``"eigenvalue"`` (Algorithm 5 step 3) or ``"higham"``.
     context:
-        :class:`~repro.parallel.ExecutionContext` (or spec string) over
-        which the ``C(m, 2)`` pairwise tau computations fan out.
+        :class:`~repro.parallel.ExecutionContext` over which the
+        ``C(m, 2)`` pairwise tau computations fan out (``None``: serial).
 
     Returns
     -------

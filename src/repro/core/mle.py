@@ -24,7 +24,7 @@ routinely reaches the thousands).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy import stats as sps
@@ -90,7 +90,7 @@ def dp_mle_correlation(
     rng: RngLike = None,
     estimator: str = "normal_scores",
     min_block_size: int = 4,
-    context: Union[ExecutionContext, str, None] = None,
+    context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Compute the DP correlation matrix estimator ``P̃`` (Algorithm 2).
 
@@ -107,9 +107,10 @@ def dp_mle_correlation(
         ``"normal_scores"`` (vectorized one-step MLE) or
         ``"pairwise_mle"`` (iterative bivariate likelihood maximization).
     context:
-        :class:`~repro.parallel.ExecutionContext` (or spec string) over
-        which the per-block ``pairwise_mle`` fits fan out — the blocks
-        are disjoint by construction, so they are independent tasks.
+        :class:`~repro.parallel.ExecutionContext` over which the
+        per-block ``pairwise_mle`` fits fan out (``None``: serial) —
+        the blocks are disjoint by construction, so they are
+        independent tasks.
         ``normal_scores`` is already vectorized across blocks and
         ignores it.
 

@@ -5,7 +5,7 @@ This subpackage is the privacy substrate of the DPCopula reproduction:
 * :mod:`repro.dp.mechanisms` — Laplace, geometric and exponential mechanisms;
 * :mod:`repro.dp.budget` — an explicit privacy-budget ledger implementing the
   sequential and parallel composition theorems (Theorems 3.1 and 3.2 of the
-  paper);
+  paper), and the one parser and fold of the service's durable ε ledger;
 * :mod:`repro.dp.sensitivity` — closed-form sensitivities, including the
   Kendall's-tau sensitivity of Lemma 4.1.
 """

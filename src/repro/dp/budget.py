@@ -7,12 +7,22 @@ end-to-end guarantee.  :class:`PrivacyBudget` makes that arithmetic an
 auditable object: synthesizers *spend* from a ledger, tests assert the
 ledger never overdraws, and the spend log documents exactly which
 mechanism consumed which slice.
+
+The service's durable per-dataset ledger (``<data-dir>/ledger.jsonl``,
+one JSON object per line) is read here too, and only here:
+:func:`parse_ledger_line` turns one line into a validated
+:class:`LedgerEntry`, and :meth:`PrivacyLedger.apply` folds entries in
+append order.  The accountant's replay, catch-up, charges and refunds,
+the lock-free ``GET /budget`` replay and the burn-down timelines all go
+through those two, so every reader agrees on what a line means.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.utils import check_positive
 
@@ -92,25 +102,6 @@ class PrivacyBudget:
         share = self.remaining / parts
         return tuple(share for _ in range(parts))
 
-    @classmethod
-    def replay(
-        cls, epsilon: float, entries: Iterable[Tuple[str, float]]
-    ) -> "PrivacyBudget":
-        """Rebuild a ledger from journaled ``(label, amount)`` entries.
-
-        Historic spends are facts — privacy loss that already happened —
-        so replay records them verbatim even when they overdraw
-        ``epsilon`` (e.g. the cap was lowered after the spends were
-        made).  An overdrawn replayed ledger simply has zero remaining
-        budget; only *future* :meth:`spend` calls are enforced.
-        """
-        budget = cls(epsilon)
-        for label, amount in entries:
-            check_positive("replayed spend amount", amount)
-            budget.spent += float(amount)
-            budget.log.append((str(label), float(amount)))
-        return budget
-
     def subbudget(self, amount: float, label: str = "") -> "PrivacyBudget":
         """Spend ``amount`` here and return a fresh ledger of that size.
 
@@ -127,6 +118,116 @@ class PrivacyBudget:
         for label, amount in self.log:
             lines.append(f"  - {label or '<unlabelled>'}: {amount:.6g}")
         return "\n".join(lines)
+
+
+#: The kinds of ledger entry; a line without ``"kind"`` is a charge.
+LEDGER_KINDS = ("charge", "refund")
+
+
+@dataclass(frozen=True)
+class LedgerEntry:
+    """One validated line of the privacy ledger.
+
+    ``record`` is the line's JSON object as written; ``key`` is its
+    idempotency key, ``None`` when absent or null and ``str(key)``
+    otherwise, so ``7`` and ``"7"`` are one key and ``""`` is a key.
+    """
+
+    dataset: str
+    kind: str
+    epsilon: float
+    key: Optional[str]
+    record: Dict[str, Any]
+
+    @property
+    def label(self) -> Any:
+        return self.record.get("label", "")
+
+    @property
+    def timestamp(self) -> Any:
+        return self.record.get("timestamp")
+
+
+def parse_ledger_line(line: str) -> LedgerEntry:
+    """Parse and validate one ledger line; ``ValueError`` if it is not an entry.
+
+    An entry is a JSON object with a string ``dataset``, a ``kind`` from
+    :data:`LEDGER_KINDS` (default ``"charge"``) and a finite positive
+    ``epsilon``: exactly what a charge or refund writes.
+    """
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"a ledger entry is a JSON object, got {record!r}")
+    dataset = record.get("dataset")
+    if not isinstance(dataset, str):
+        raise ValueError(f"ledger dataset must be a string, got {dataset!r}")
+    kind = record.get("kind", "charge")
+    if kind not in LEDGER_KINDS:
+        raise ValueError(f"ledger kind must be one of {LEDGER_KINDS}, got {kind!r}")
+    epsilon = record.get("epsilon")
+    if (
+        isinstance(epsilon, bool)
+        or not isinstance(epsilon, (int, float))
+        or not 0 < epsilon <= sys.float_info.max
+    ):
+        raise ValueError(
+            f"ledger epsilon must be a finite positive number, got {epsilon!r}"
+        )
+    key = record.get("key")
+    return LedgerEntry(
+        dataset=dataset,
+        kind=kind,
+        epsilon=float(epsilon),
+        key=None if key is None else str(key),
+        record=record,
+    )
+
+
+class PrivacyLedger:
+    """Per-dataset ε spent, folded from ledger entries in append order.
+
+    Historic spends are facts, privacy loss that already happened, so
+    :meth:`apply` adds a charge even when it overdraws ``epsilon_cap``
+    (the cap may have been lowered since); only :meth:`can_charge`
+    enforces the cap, for charges not yet journaled.
+    """
+
+    def __init__(self, epsilon_cap: float):
+        self.epsilon_cap = float(epsilon_cap)
+        self.entries: List[LedgerEntry] = []
+        self.spent: Dict[str, float] = {}
+        self._keys: Set[str] = set()
+
+    def seen(self, entry: LedgerEntry) -> bool:
+        """Whether ``entry``'s idempotency key is already applied."""
+        return entry.key is not None and entry.key in self._keys
+
+    def apply(self, entry: LedgerEntry) -> bool:
+        """Fold one entry in; ``False`` (and no change) if its key was seen.
+
+        A charge adds its ε to the dataset's spend; a refund subtracts
+        it, clipped at zero.
+        """
+        if self.seen(entry):
+            return False
+        if entry.key is not None:
+            self._keys.add(entry.key)
+        self.entries.append(entry)
+        spent = self.spent.get(entry.dataset, 0.0)
+        if entry.kind == "refund":
+            spent = max(0.0, spent - entry.epsilon)
+        else:
+            spent += entry.epsilon
+        self.spent[entry.dataset] = spent
+        return True
+
+    def remaining(self, dataset: str) -> float:
+        """ε still available to ``dataset`` under the cap."""
+        return max(0.0, self.epsilon_cap - self.spent.get(dataset, 0.0))
+
+    def can_charge(self, dataset: str, epsilon: float) -> bool:
+        """Whether a charge of ``epsilon`` fits under the cap."""
+        return epsilon <= self.remaining(dataset) + _EPSILON_SLACK
 
 
 def split_budget_by_ratio(epsilon: float, k: float) -> Tuple[float, float]:

@@ -502,7 +502,7 @@ def average_evaluation(
     n_runs: int = 2,
     sanity_bound: float = 1.0,
     rng: RngLike = None,
-    context: Union[ExecutionContext, str, None] = None,
+    context: Optional[ExecutionContext] = None,
 ) -> TimedEvaluation:
     """Fit ``method`` ``n_runs`` times, evaluate, average the metrics.
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,10 +75,6 @@ __all__ = [
 ]
 
 BACKENDS = ("serial", "thread", "process")
-
-#: Environment variable consulted by :func:`resolve_context` when no
-#: explicit context is given, e.g. ``DPCOPULA_PARALLEL=process:4``.
-PARALLEL_ENV_VAR = "DPCOPULA_PARALLEL"
 
 #: Entropy words drawn from the caller's generator to key a spawn root.
 _ENTROPY_WORDS = 4
@@ -257,28 +253,6 @@ class ExecutionContext:
         )
         self.chunk_size = int(chunk_size) if chunk_size is not None else None
 
-    @classmethod
-    def from_spec(cls, spec: Union[str, "ExecutionContext", None]) -> "ExecutionContext":
-        """Parse ``"backend"`` or ``"backend:workers"`` (e.g. ``process:4``)."""
-        if spec is None:
-            return cls()
-        if isinstance(spec, ExecutionContext):
-            return spec
-        text = str(spec).strip()
-        if not text:
-            return cls()
-        backend, _, workers = text.partition(":")
-        if workers:
-            try:
-                count: Optional[int] = int(workers)
-            except ValueError:
-                raise ValueError(
-                    f"invalid worker count in parallel spec {spec!r}"
-                ) from None
-        else:
-            count = None
-        return cls(backend=backend, max_workers=count)
-
     @property
     def is_serial(self) -> bool:
         return self.backend == "serial" or self.max_workers == 1
@@ -401,18 +375,6 @@ class ExecutionContext:
         )
 
 
-def resolve_context(
-    context: Union[ExecutionContext, str, None] = None
-) -> ExecutionContext:
-    """Coerce ``context`` into an :class:`ExecutionContext`.
-
-    ``None`` consults the ``DPCOPULA_PARALLEL`` environment variable
-    (``backend`` or ``backend:workers``) and falls back to ``serial``;
-    a string is parsed with :meth:`ExecutionContext.from_spec`.
-    """
-    if isinstance(context, ExecutionContext):
-        return context
-    if context is None:
-        env = os.environ.get(PARALLEL_ENV_VAR, "").strip()
-        return ExecutionContext.from_spec(env) if env else ExecutionContext()
-    return ExecutionContext.from_spec(context)
+def resolve_context(context: Optional[ExecutionContext] = None) -> ExecutionContext:
+    """``context`` itself, or a serial context for ``None``."""
+    return context if context is not None else ExecutionContext()

@@ -5,9 +5,14 @@ the process, which is exactly wrong for a long-running service: the
 privacy loss a dataset has suffered is a property of the *data*, not of
 any server instance.  :class:`PrivacyAccountant` therefore journals
 every fit's ε spend to an append-only JSONL ledger file and rebuilds
-the per-dataset ledgers from it on startup, so a restarted (or
+the per-dataset spends from it on startup, so a restarted (or
 horizontally re-deployed, pointed at the same data directory) service
 keeps refusing fits that would push a dataset past its lifetime cap.
+
+Every reading of the ledger, the accountant's and the lock-free
+:func:`replay_ledger` behind :func:`budget_overview` alike, parses
+lines with :func:`~repro.dp.budget.parse_ledger_line` and folds them
+with :meth:`~repro.dp.budget.PrivacyLedger.apply`.
 
 Sampling never goes through the accountant: drawing records from a
 released model is post-processing and costs nothing (paper §3.3).
@@ -15,18 +20,19 @@ released model is post-processing and costs nothing (paper §3.3).
 Resilience semantics (see docs/RELIABILITY.md):
 
 * **Idempotency** — charges and refunds may carry an idempotency
-  ``key``; an entry whose key is already journaled is a no-op.  The
-  ledger itself is the deduplication source of truth, so a retried fit
-  (worker crash, registry hiccup) can re-issue its charge safely and a
-  restarted service can resume a journaled job without double-charging.
+  ``key`` (compared as ``str(key)``); an entry whose key is already
+  journaled is a no-op.  The ledger itself is the deduplication source
+  of truth, so a retried fit (worker crash, registry hiccup) can
+  re-issue its charge safely and a restarted service can resume a
+  journaled job without double-charging.
 * **Refunds** — negative entries (``"kind": "refund"``) exist for
   exactly one case: a fit that failed *before drawing any noise*.  In
   that window the data never influenced a releasable value, so undoing
   the charge is provably safe.  Refunds after noise was drawn would
   break the DP guarantee and are never issued by the service.
 * **Torn tails** — a crash mid-append can leave a truncated final
-  line.  Replay drops exactly that line (the charge was rolled back
-  in-memory when the append failed) and repairs the file back to a
+  line.  Replay drops exactly that line (an entry counts in memory only
+  after its append returned) and repairs the file back to a
   newline-terminated state so later appends start on a fresh line;
   corruption anywhere *else* still refuses startup, because a ledger
   we cannot read in the middle is a ledger we cannot trust.
@@ -52,58 +58,69 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.dp.budget import BudgetExhaustedError, PrivacyBudget
+from repro.dp.budget import (
+    BudgetExhaustedError,
+    LedgerEntry,
+    PrivacyLedger,
+    parse_ledger_line,
+)
 from repro.service.config import PathLike
 from repro.telemetry import get_logger, metrics
+from repro.telemetry.observatory import budget_timelines
 from repro.utils import check_positive, interprocess_lock
 
-__all__ = ["PrivacyAccountant", "BudgetExhaustedError", "replay_ledger"]
+__all__ = [
+    "PrivacyAccountant",
+    "BudgetExhaustedError",
+    "budget_overview",
+    "replay_ledger",
+]
 
 _logger = get_logger("service.accountant")
 
 
-def replay_ledger(ledger_path: PathLike) -> List[Dict[str, Any]]:
-    """Pure-read replay of a ledger file: parsed, deduplicated entries.
+def replay_ledger(ledger_path: PathLike) -> List[LedgerEntry]:
+    """Pure-read replay of a ledger file: its valid entries in append order.
 
-    The budget observatory's view of the world: one buffered read with
-    **no locking whatsoever** — it never touches the flock sidecar, so
-    rendering burn-down timelines adds zero contention to the append
-    path.  Semantics mirror the accountant's replay: entries come back
-    in append order, duplicates by idempotency key are dropped, and a
-    final line missing its newline counts when it parses (its append
-    died between the write and the newline) and is skipped when it is
-    a torn fragment — never repaired, because repairs are mutations and
-    belong to the accountant.  Unlike startup replay this is
-    diagnostic, so mid-file corruption skips the bad line instead of
-    refusing: an observatory must be able to look at a damaged ledger.
+    One buffered read with **no locking whatsoever**: it never touches
+    the flock sidecar, so rendering burn-down timelines adds zero
+    contention to the append path.  A final line missing its newline
+    counts when it parses (its append died between the write and the
+    newline) and is skipped when it is a torn fragment, never repaired,
+    because repairs are mutations and belong to the accountant.  Unlike
+    startup replay this is diagnostic, so a bad line anywhere is
+    skipped instead of refusing: an observatory must be able to look at
+    a damaged ledger.  Duplicate keys are left to the fold.
     """
     try:
         text = Path(ledger_path).read_text(encoding="utf-8")
     except OSError:
         return []
-    entries: List[Dict[str, Any]] = []
-    seen_keys: set = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    entries: List[LedgerEntry] = []
+    for line in text.split("\n"):
+        if not line.strip():
             continue
         try:
-            entry = json.loads(line)
+            entries.append(parse_ledger_line(line))
         except ValueError:
             continue
-        if not isinstance(entry, dict) or "dataset" not in entry:
-            continue
-        try:
-            float(entry["epsilon"])
-        except (KeyError, TypeError, ValueError):
-            continue
-        key = entry.get("key")
-        if key is not None:
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-        entries.append(entry)
     return entries
+
+
+def budget_overview(data_dir: PathLike, epsilon_cap: float) -> Dict[str, Any]:
+    """Per-dataset ε burn-down timelines of a serve data directory.
+
+    Backs ``GET /budget``, ``dpcopula budget`` and the dashboards, live
+    or offline.  The ledger is read with :func:`replay_ledger`, without
+    its lock, and every uploaded dataset is listed, so a never-fitted
+    one still shows its full cap.
+    """
+    root = Path(data_dir)
+    datasets = [sidecar.stem for sidecar in (root / "datasets").glob("*.json")]
+    return budget_timelines(
+        replay_ledger(root / "ledger.jsonl"), epsilon_cap, datasets=datasets
+    )
+
 
 # Per-dataset privacy gauges: refreshed on every charge and on ledger
 # replay, so /metrics always reflects the durable accounting state.
@@ -142,9 +159,7 @@ class PrivacyAccountant:
         self.lock_path = self.ledger_path.with_name(self.ledger_path.name + ".lock")
         self.epsilon_cap = check_positive("epsilon_cap", epsilon_cap)
         self._lock = threading.Lock()
-        self._entries: List[Dict[str, Any]] = []
-        self._budgets: Dict[str, PrivacyBudget] = {}
-        self._keys: set = set()
+        self._ledger = PrivacyLedger(self.epsilon_cap)
         # Bytes of the ledger already applied in-memory; everything past
         # it was appended by a sibling process and is replayed on the
         # next catch-up.  Complete lines only: a torn fragment is never
@@ -176,10 +191,10 @@ class PrivacyAccountant:
         call consumes the whole file, later calls only the bytes
         sibling processes appended since.  A truncated *final* line
         (torn append from a crash mid-write) is dropped with a warning
-        — the matching in-memory charge was rolled back when the
-        append raised, so the entry never took effect — and the file
-        itself is repaired (truncated back to the last complete line,
-        or newline-terminated if the tail parsed), so the next append
+        — its entry never took effect, because an entry counts in
+        memory only after its append returned — and the file itself is
+        repaired (truncated back to the last complete line, or
+        newline-terminated if the tail parsed), so the next append
         starts on a fresh line instead of concatenating onto the
         leftover fragment.  Torn tails are recognized by the missing
         trailing newline (each append writes ``json + "\\n"`` in one
@@ -190,12 +205,11 @@ class PrivacyAccountant:
         appender holds it, so a torn tail can only belong to a dead
         writer.
 
-        Catch-up applies the same idempotency rule as :meth:`charge` /
-        :meth:`refund`: an entry whose key is already journaled is
-        skipped, so a retried append whose first attempt did reach disk
-        (e.g. an fsync error after a successful write) cannot
-        double-count on restart, and a sibling's replay of our own
-        entries cannot double-count either.
+        The fold skips an entry whose key is already applied, so a
+        retried append whose first attempt did reach disk (e.g. an
+        fsync error after a successful write) cannot double-count on
+        restart, and a sibling's replay of our own entries cannot
+        double-count either.
         """
         if not self.ledger_path.exists():
             return
@@ -204,106 +218,72 @@ class PrivacyAccountant:
             raw = handle.read()
         if not raw:
             return
-        text = raw.decode("utf-8")
-        torn_tail = not text.endswith("\n")
-        complete, _, fragment = text.rpartition("\n")
-        lines = complete.split("\n") if complete else []
-        for line in lines:
+        complete, newline, fragment = raw.decode("utf-8").rpartition("\n")
+        for line in complete.split("\n") if newline else []:
             self._lineno += 1
-            stripped = line.strip()
-            if not stripped:
+            if not line.strip():
                 continue
             try:
-                entry = json.loads(stripped)
-                str(entry["dataset"])
-                float(entry["epsilon"])
-            except (ValueError, KeyError, TypeError) as exc:
+                entry = parse_ledger_line(line)
+            except ValueError as exc:
                 raise ValueError(
                     f"privacy ledger {self.ledger_path} is corrupt at "
                     f"line {self._lineno}: {exc}"
                 ) from exc
             self._apply_locked(entry)
-        self._offset += len(complete.encode("utf-8")) + (1 if complete else 0)
-        if torn_tail:
-            dropped = True
-            stripped = fragment.strip()
-            if stripped:
-                try:
-                    entry = json.loads(stripped)
-                    str(entry["dataset"])
-                    float(entry["epsilon"])
-                except (ValueError, KeyError, TypeError):
-                    self._lineno += 1
-                    _logger.warning(
-                        "dropping truncated trailing ledger line",
-                        extra={
-                            "ledger": str(self.ledger_path),
-                            "line": self._lineno,
-                        },
-                    )
-                else:
-                    # The tail is a complete entry whose append died
-                    # between the write and the newline: keep it.
-                    self._lineno += 1
-                    self._apply_locked(entry)
-                    self._offset += len(fragment.encode("utf-8"))
-                    dropped = False
-            self._repair_torn_tail_locked(dropped=dropped)
-        for dataset, budget in self._budgets.items():
-            _EPS_SPENT.set(budget.spent, dataset=dataset)
-            _EPS_REMAINING.set(budget.remaining, dataset=dataset)
-        if startup and self._budgets:
+        self._offset += len(complete.encode("utf-8")) + len(newline)
+        if fragment:
+            self._lineno += 1
+            try:
+                entry = parse_ledger_line(fragment)
+            except ValueError:
+                _logger.warning(
+                    "dropping truncated trailing ledger line",
+                    extra={"ledger": str(self.ledger_path), "line": self._lineno},
+                )
+                self._repair_torn_tail_locked(dropped=True)
+            else:
+                # The tail is a complete entry whose append died
+                # between the write and the newline: keep it.
+                self._apply_locked(entry)
+                self._offset += len(fragment.encode("utf-8"))
+                self._repair_torn_tail_locked(dropped=False)
+        for dataset, spent in self._ledger.spent.items():
+            _EPS_SPENT.set(spent, dataset=dataset)
+            _EPS_REMAINING.set(self._ledger.remaining(dataset), dataset=dataset)
+        if startup and self._ledger.spent:
             _logger.info(
                 "privacy ledger replayed",
                 extra={
-                    "datasets": len(self._budgets),
-                    "entries": len(self._entries),
+                    "datasets": len(self._ledger.spent),
+                    "entries": len(self._ledger.entries),
                     "ledger": str(self.ledger_path),
                 },
             )
 
-    def _apply_locked(self, entry: Dict[str, Any]) -> None:
-        """Fold one journaled entry into the in-memory ledgers."""
-        key = str(entry["key"]) if entry.get("key") else None
-        if key is not None and key in self._keys:
+    def _apply_locked(self, entry: LedgerEntry) -> None:
+        """Fold one replayed entry into the in-memory ledger."""
+        if not self._ledger.apply(entry):
             _logger.warning(
                 "skipping duplicate ledger entry on replay",
                 extra={
                     "ledger": str(self.ledger_path),
                     "line": self._lineno,
-                    "key": key,
+                    "key": entry.key,
                 },
             )
-            return
-        self._entries.append(entry)
-        if key is not None:
-            self._keys.add(key)
-        dataset = str(entry["dataset"])
-        epsilon = float(entry["epsilon"])
-        budget = self._budgets.setdefault(dataset, PrivacyBudget(self.epsilon_cap))
-        label = str(entry.get("label", ""))
-        if entry.get("kind", "charge") == "refund":
-            budget.spent = max(0.0, budget.spent - epsilon)
-            budget.log.append((label, -epsilon))
-        else:
-            # Historic spends are facts: replay them verbatim even
-            # when they overdraw a since-lowered cap.
-            budget.spent += epsilon
-            budget.log.append((label, epsilon))
 
     def spent(self, dataset_id: str) -> float:
         """Cumulative ε already charged to ``dataset_id``."""
         with self._lock:
             self._maybe_refresh_locked()
-            budget = self._budgets.get(dataset_id)
-            return budget.spent if budget is not None else 0.0
+            return self._ledger.spent.get(dataset_id, 0.0)
 
     def remaining(self, dataset_id: str) -> float:
         """ε still available to ``dataset_id`` under the cap."""
         with self._lock:
             self._maybe_refresh_locked()
-            budget = self._budgets.get(dataset_id)
-            return budget.remaining if budget is not None else self.epsilon_cap
+            return self._ledger.remaining(dataset_id)
 
     def can_charge(self, dataset_id: str, epsilon: float) -> bool:
         """Whether a charge of ``epsilon`` would fit under the cap.
@@ -314,16 +294,7 @@ class PrivacyAccountant:
         """
         with self._lock:
             self._maybe_refresh_locked()
-            budget = self._budgets.get(dataset_id)
-            if budget is None:
-                budget = PrivacyBudget(self.epsilon_cap)
-            return budget.can_spend(epsilon)
-
-    def has_key(self, key: str) -> bool:
-        """Whether an entry with idempotency ``key`` is already journaled."""
-        with self._lock:
-            self._maybe_refresh_locked()
-            return key in self._keys
+            return self._ledger.can_charge(dataset_id, epsilon)
 
     def charge(
         self,
@@ -334,82 +305,17 @@ class PrivacyAccountant:
     ) -> float:
         """Charge ``epsilon`` against ``dataset_id`` and journal it.
 
-        The in-memory spend and the journal append happen under one
-        lock, so concurrent fit workers cannot jointly overdraw the
-        cap.  Raises :class:`BudgetExhaustedError` (journaling nothing)
-        when the charge does not fit.
+        The cap check and the journal append happen under one lock, so
+        concurrent fit workers cannot jointly overdraw the cap.  Raises
+        :class:`BudgetExhaustedError` (journaling nothing) when the
+        charge does not fit.
 
         With an idempotency ``key`` the charge is exactly-once: if the
         key is already journaled the call returns 0.0 without spending
         anything.  Retried fit attempts and journal-resumed jobs pass
         their job id here so re-execution never double-charges.
         """
-        check_positive("epsilon", epsilon)
-        with self._lock, interprocess_lock(self.lock_path):
-            # Catch up on sibling processes' appends *inside* the flock:
-            # the cap check below must see every charge any process has
-            # journaled, or two workers could jointly overdraw it.
-            self._catch_up_locked()
-            if key is not None and key in self._keys:
-                _logger.info(
-                    "charge skipped: idempotency key already journaled",
-                    extra={"dataset": dataset_id, "key": key},
-                )
-                return 0.0
-            budget = self._budgets.setdefault(
-                dataset_id, PrivacyBudget(self.epsilon_cap)
-            )
-            try:
-                budget.spend(epsilon, label)
-            except BudgetExhaustedError:
-                _BUDGET_REFUSALS.inc()
-                _logger.warning(
-                    "charge refused: lifetime cap",
-                    extra={
-                        "dataset": dataset_id,
-                        "epsilon": float(epsilon),
-                        "spent": budget.spent,
-                        "cap": self.epsilon_cap,
-                    },
-                )
-                raise
-            entry = {
-                "dataset": dataset_id,
-                "epsilon": float(epsilon),
-                "label": label,
-                "timestamp": time.time(),
-            }
-            if key is not None:
-                entry["key"] = key
-            try:
-                self._offset += self._append(entry)
-                self._lineno += 1
-            except BaseException:
-                # The journal is the source of truth: a spend we could
-                # not record must not count against future charges.
-                budget.spent -= float(epsilon)
-                budget.log.pop()
-                _logger.exception(
-                    "ledger append failed; charge rolled back",
-                    extra={"dataset": dataset_id, "ledger": str(self.ledger_path)},
-                )
-                raise
-            self._entries.append(entry)
-            if key is not None:
-                self._keys.add(key)
-            _EPS_SPENT.set(budget.spent, dataset=dataset_id)
-            _EPS_REMAINING.set(budget.remaining, dataset=dataset_id)
-            _logger.info(
-                "epsilon charged",
-                extra={
-                    "dataset": dataset_id,
-                    "epsilon": float(epsilon),
-                    "label": label,
-                    "spent": budget.spent,
-                    "remaining": budget.remaining,
-                },
-            )
-            return float(epsilon)
+        return self._journal("charge", dataset_id, epsilon, label, key)
 
     def refund(
         self,
@@ -428,42 +334,82 @@ class PrivacyAccountant:
         provably zero (docs/RELIABILITY.md states the argument).  Like
         :meth:`charge`, refunds are idempotent under ``key``.
         """
+        return self._journal("refund", dataset_id, epsilon, label, key)
+
+    def _journal(
+        self,
+        kind: str,
+        dataset_id: str,
+        epsilon: float,
+        label: str,
+        key: Optional[str],
+    ) -> float:
+        """Append one charge or refund, then fold it in; the ε it moved.
+
+        The line is parsed back with the reader's own parser, and the
+        entry counts in memory only once its append returned, so a
+        failed append leaves nothing to undo.
+        """
         check_positive("epsilon", epsilon)
         with self._lock, interprocess_lock(self.lock_path):
+            # Catch up on sibling processes' appends *inside* the flock:
+            # the cap check below must see every charge any process has
+            # journaled, or two workers could jointly overdraw it.
             self._catch_up_locked()
-            if key is not None and key in self._keys:
-                return 0.0
-            budget = self._budgets.setdefault(
-                dataset_id, PrivacyBudget(self.epsilon_cap)
-            )
-            entry = {
+            record: Dict[str, Any] = {
                 "dataset": dataset_id,
                 "epsilon": float(epsilon),
                 "label": label,
-                "kind": "refund",
                 "timestamp": time.time(),
             }
+            if kind == "refund":
+                record["kind"] = kind
             if key is not None:
-                entry["key"] = key
-            self._offset += self._append(entry)
+                record["key"] = key
+            line = json.dumps(record, sort_keys=True)
+            entry = parse_ledger_line(line)
+            if self._ledger.seen(entry):
+                _logger.info(
+                    f"{kind} skipped: idempotency key already journaled",
+                    extra={"dataset": dataset_id, "key": entry.key},
+                )
+                return 0.0
+            if kind == "charge" and not self._ledger.can_charge(
+                dataset_id, entry.epsilon
+            ):
+                _BUDGET_REFUSALS.inc()
+                remaining = self._ledger.remaining(dataset_id)
+                _logger.warning(
+                    "charge refused: lifetime cap",
+                    extra={
+                        "dataset": dataset_id,
+                        "epsilon": entry.epsilon,
+                        "spent": self._ledger.spent.get(dataset_id, 0.0),
+                        "cap": self.epsilon_cap,
+                    },
+                )
+                raise BudgetExhaustedError(
+                    f"cannot spend {entry.epsilon:.6g}: only {remaining:.6g} "
+                    f"of {self.epsilon_cap:.6g} remains (label={label!r})"
+                )
+            self._offset += self._append(line)
             self._lineno += 1
-            budget.spent = max(0.0, budget.spent - float(epsilon))
-            budget.log.append((label, -float(epsilon)))
-            self._entries.append(entry)
-            if key is not None:
-                self._keys.add(key)
-            _EPS_SPENT.set(budget.spent, dataset=dataset_id)
-            _EPS_REMAINING.set(budget.remaining, dataset=dataset_id)
+            self._ledger.apply(entry)
+            spent = self._ledger.spent[dataset_id]
+            remaining = self._ledger.remaining(dataset_id)
+            _EPS_SPENT.set(spent, dataset=dataset_id)
+            _EPS_REMAINING.set(remaining, dataset=dataset_id)
             _logger.info(
-                "epsilon refunded",
+                "epsilon charged" if kind == "charge" else "epsilon refunded",
                 extra={
                     "dataset": dataset_id,
-                    "epsilon": float(epsilon),
+                    "epsilon": entry.epsilon,
                     "label": label,
-                    "remaining": budget.remaining,
+                    "spent": spent,
+                    "remaining": remaining,
                 },
             )
-            return float(epsilon)
+            return entry.epsilon
 
     def _repair_torn_tail_locked(self, dropped: bool) -> None:
         """Restore the newline-terminated invariant after a torn append.
@@ -498,13 +444,13 @@ class PrivacyAccountant:
             },
         )
 
-    def _append(self, entry: Dict[str, Any]) -> int:
-        """Durably append one entry; returns the bytes written."""
+    def _append(self, line: str) -> int:
+        """Durably append one serialized entry; returns the bytes written."""
         from repro.resilience import faults
 
         faults.inject("ledger.append")
         self.ledger_path.parent.mkdir(parents=True, exist_ok=True)
-        data = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        data = (line + "\n").encode("utf-8")
         with self.ledger_path.open("ab") as handle:
             handle.write(data)
             handle.flush()
@@ -512,29 +458,30 @@ class PrivacyAccountant:
         return len(data)
 
     def entries(self, dataset_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Journal entries, optionally restricted to one dataset."""
+        """Journal entries as written, optionally restricted to one dataset."""
         with self._lock:
             self._maybe_refresh_locked()
-            if dataset_id is None:
-                return [dict(e) for e in self._entries]
-            return [dict(e) for e in self._entries if e["dataset"] == dataset_id]
+            return [
+                dict(entry.record)
+                for entry in self._ledger.entries
+                if dataset_id is None or entry.dataset == dataset_id
+            ]
 
     def summary(self, dataset_id: str) -> Dict[str, Any]:
         """JSON-ready accounting state for one dataset."""
         with self._lock:
             self._maybe_refresh_locked()
-            budget = self._budgets.get(dataset_id)
-            spent = budget.spent if budget is not None else 0.0
-            remaining = budget.remaining if budget is not None else self.epsilon_cap
+            spent = self._ledger.spent.get(dataset_id, 0.0)
+            remaining = self._ledger.remaining(dataset_id)
             charges = [
                 {
-                    "epsilon": e["epsilon"],
-                    "label": e.get("label", ""),
-                    "kind": e.get("kind", "charge"),
-                    "timestamp": e.get("timestamp"),
+                    "epsilon": entry.epsilon,
+                    "label": entry.label,
+                    "kind": entry.kind,
+                    "timestamp": entry.timestamp,
                 }
-                for e in self._entries
-                if e["dataset"] == dataset_id
+                for entry in self._ledger.entries
+                if entry.dataset == dataset_id
             ]
         return {
             "dataset_id": dataset_id,

@@ -46,7 +46,7 @@ from repro.engine import EngineOverloadedError, RequestCoalescer, SamplingEngine
 from repro.io import ReleasedModel
 from repro.resilience.journal import JobJournal, JobRecord
 from repro.resilience.retry import RetryPolicy, call_with_retry, mark_no_retry
-from repro.service.accountant import PrivacyAccountant, replay_ledger
+from repro.service.accountant import PrivacyAccountant, budget_overview
 from repro.service.config import ServiceConfig
 from repro.service.datasets import DatasetStore
 from repro.service.errors import (
@@ -152,10 +152,6 @@ class SynthesisService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         configure_logging(config.log_level)
-        # Rebucketing clears the affected series, which is only safe
-        # before any request traffic.
-        if config.latency_buckets is not None:
-            metrics.REGISTRY.configure_latency_buckets(config.latency_buckets)
         config.ensure_layout()
         self.datasets = DatasetStore(config.datasets_dir)
         self.registry = ModelRegistry(
@@ -699,27 +695,6 @@ class SynthesisService:
         ).set(self.registry.cached_models())
         self.journal.refresh_state_gauge()
 
-    def budget_overview(self) -> Dict[str, Any]:
-        """Per-dataset ε burn-down timelines from a pure ledger read.
-
-        Replays the append-only ledger without taking its lock — the
-        budget endpoint never contends with a fit's charge path — and
-        unions datasets seen in the ledger with datasets currently
-        uploaded, so never-fitted datasets still appear with their full
-        cap remaining.
-        """
-        known = [
-            summary["dataset_id"]
-            for summary in self.datasets.list()
-            if summary.get("dataset_id")
-        ]
-        from repro.telemetry.observatory import budget_timelines
-
-        entries = replay_ledger(self.config.ledger_path)
-        return budget_timelines(
-            entries, self.accountant.epsilon_cap, datasets=known
-        )
-
     def observatory_snapshot(self) -> Dict[str, Any]:
         """The ``GET /debug/observatory`` document: fleet state at a glance.
 
@@ -734,7 +709,9 @@ class SynthesisService:
         snapshot = self.metrics_snapshot()
         document: Dict[str, Any] = {
             "served_by": self.config.worker_label,
-            "budget": self.budget_overview(),
+            "budget": budget_overview(
+                self.config.data_dir, self.config.epsilon_cap
+            ),
             "probes": load_probe_document(self.config.observatory_dir),
             "traces": {
                 "enabled": self.trace_exporter is not None,

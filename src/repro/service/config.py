@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.parallel import BACKENDS
-from repro.telemetry.metrics import parse_latency_buckets
 
 PathLike = Union[str, Path]
 
@@ -97,10 +96,6 @@ def _resolve_workers(value: Optional[int]) -> int:
     from repro.service.prefork import resolve_worker_count
 
     return resolve_worker_count(value)
-
-
-def _parse_buckets(text: Optional[str]) -> Optional[Tuple[float, ...]]:
-    return None if text is None else parse_latency_buckets(text)
 
 
 @dataclass(frozen=True)
@@ -227,13 +222,6 @@ class ServiceConfig:
         "exported traces are flagged slow",
         flag="--slow-request-threshold", type=float, at_least=0, zero_off=True,
         metavar="SECONDS",
-    )
-    latency_buckets: Optional[Tuple[float, ...]] = _setting(
-        None,
-        "latency-histogram bucket boundaries in seconds, in any order "
-        "(comma-separated on the command line, e.g. '0.01,0.1,1,10'); unset "
-        "keeps the built-in 1ms-5min spread",
-        resolve=_parse_buckets, metavar="SECONDS,SECONDS,...",
     )
     trace_export_enabled: bool = _setting(
         True,

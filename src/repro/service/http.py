@@ -71,6 +71,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 
 from repro.dp.budget import BudgetExhaustedError
+from repro.service.accountant import budget_overview
 from repro.service.app import SynthesisService
 from repro.service.errors import ServiceError
 from repro.service.serializers import JSONBytes
@@ -416,7 +417,8 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _handle_budget(self, _: Optional[str]) -> Tuple[int, Any]:
-        return 200, self.service.budget_overview()
+        config = self.service.config
+        return 200, budget_overview(config.data_dir, config.epsilon_cap)
 
     def _handle_observatory(self, _: Optional[str]) -> Tuple[int, Any]:
         return 200, self.service.observatory_snapshot()
@@ -485,6 +487,11 @@ def build_server(
         },
     )
     if listen_socket is not None:
+        # Every worker selecting on a shared socket wakes for each
+        # connection; those that lose the accept() race must get EAGAIN
+        # and return to serve_forever's loop, where they see a drain,
+        # instead of blocking in accept() where SIGTERM cannot stop them.
+        listen_socket.setblocking(False)
         server = ThreadingHTTPServer(
             listen_socket.getsockname()[:2], handler, bind_and_activate=False
         )

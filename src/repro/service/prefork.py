@@ -17,7 +17,9 @@ supervisor first binds a non-listening *holder* socket to fix the port
 lifetime; bound-but-not-listening sockets receive no connections, so
 the holder only reserves the address.  Fallback (platforms without
 ``SO_REUSEPORT``): the supervisor binds and listens once, and every
-forked worker accepts from the inherited socket.
+forked worker accepts from the inherited socket, non-blocking, so the
+workers that lose the race for a connection return to their select
+loop (and can drain) rather than block in ``accept()``.
 
 Division of labor
 -----------------
@@ -63,7 +65,7 @@ __all__ = [
 
 _logger = get_logger("service.prefork")
 
-#: Environment override for ``--workers``, mirroring ``DPCOPULA_PARALLEL``.
+#: Environment override for ``--workers``.
 WORKERS_ENV_VAR = "DPCOPULA_WORKERS"
 
 #: Whether this platform can bind N listening sockets to one port.

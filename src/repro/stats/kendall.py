@@ -26,7 +26,7 @@ is derived for exactly that statistic, so we match it.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import stats as sps
@@ -262,7 +262,7 @@ def _pair_tau_task(task: Tuple[int, int], shared) -> float:
 def kendall_tau_matrix(
     values: np.ndarray,
     method: str = "merge",
-    context: Union[ExecutionContext, str, None] = None,
+    context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Pairwise Kendall's tau-a matrix of the columns of ``values``.
 

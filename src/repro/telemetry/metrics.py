@@ -45,7 +45,6 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_FANOUT_BUCKETS",
-    "parse_latency_buckets",
     "render_prometheus",
 ]
 
@@ -60,27 +59,6 @@ DEFAULT_LATENCY_BUCKETS = (
 #: parallel layer's per-call item cap).
 DEFAULT_FANOUT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
-
-def parse_latency_buckets(text: str) -> Tuple[float, ...]:
-    """Parse a comma-separated bucket-boundary list into sorted floats.
-
-    Raises ``ValueError`` on empty input, non-numeric entries, or
-    non-finite boundaries — callers surface that as a config error
-    rather than silently falling back.
-    """
-    parts = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not parts:
-        raise ValueError("latency buckets: need at least one boundary")
-    bounds = []
-    for piece in parts:
-        try:
-            bound = float(piece)
-        except ValueError:
-            raise ValueError(f"latency buckets: {piece!r} is not a number") from None
-        if not math.isfinite(bound) or bound <= 0:
-            raise ValueError(f"latency buckets: {piece!r} must be finite and > 0")
-        bounds.append(bound)
-    return tuple(sorted(set(bounds)))
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -121,10 +99,6 @@ class _Instrument:
         self.help = help
         self._lock = threading.Lock()
         self._series: Dict[LabelKey, Any] = {}
-
-    def labels_seen(self) -> List[LabelKey]:
-        with self._lock:
-            return sorted(self._series)
 
     def clear(self) -> None:
         """Drop every recorded series (instrument stays registered)."""
@@ -197,9 +171,6 @@ class Histogram(_Instrument):
             raise ValueError(f"histogram {name} buckets must be finite")
         # The implicit +Inf bucket is stored as the last slot.
         self.bounds: Tuple[float, ...] = tuple(bounds)
-        #: Set by the registry for histograms created with the default
-        #: latency buckets — the ones a bucket reconfiguration retargets.
-        self.uses_default_latency_buckets = False
 
     def observe(
         self, value: float, exemplar: Optional[str] = None, **labels: Any
@@ -227,22 +198,6 @@ class Histogram(_Instrument):
                     "trace_id": str(exemplar),
                     "value": value,
                 }
-
-    def rebucket(self, buckets: Sequence[float]) -> None:
-        """Replace the bucket boundaries, dropping any recorded series.
-
-        Only safe at configuration time (service start-up) — recorded
-        counts cannot be redistributed into new boundaries, so they are
-        cleared rather than misreported.
-        """
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError(f"histogram {self.name} needs at least one bucket")
-        if any(b != b for b in bounds):  # NaN
-            raise ValueError(f"histogram {self.name} buckets must be finite")
-        with self._lock:
-            self.bounds = tuple(bounds)
-            self._series.clear()
 
     def count(self, **labels: Any) -> int:
         with self._lock:
@@ -307,7 +262,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._instruments: Dict[str, _Instrument] = {}
-        self._latency_buckets: Optional[Tuple[float, ...]] = None
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Instrument:
         with self._lock:
@@ -336,42 +290,7 @@ class MetricsRegistry:
         help: str = "",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
-        uses_default = buckets is DEFAULT_LATENCY_BUCKETS
-        if uses_default and self._latency_buckets is not None:
-            buckets = self._latency_buckets
-        instrument = self._get_or_create(Histogram, name, help, buckets=buckets)
-        if uses_default:
-            instrument.uses_default_latency_buckets = True
-        return instrument
-
-    def configure_latency_buckets(
-        self, buckets: Optional[Sequence[float]]
-    ) -> None:
-        """Override the default latency boundaries registry-wide.
-
-        Latency histograms are declared at import time with the built-in
-        :data:`DEFAULT_LATENCY_BUCKETS`, so configurability has to act at
-        the registry: every histogram created with the default boundaries
-        — past or future — is rebucketed (dropping its recorded series,
-        which is why this belongs at service start-up, before traffic).
-        Histograms with purpose-built boundaries (fan-out sizes, batch
-        sizes) are left untouched.  ``None`` restores the built-ins.
-        """
-        new_bounds = (
-            tuple(DEFAULT_LATENCY_BUCKETS)
-            if buckets is None
-            else tuple(sorted(float(b) for b in buckets))
-        )
-        with self._lock:
-            self._latency_buckets = None if buckets is None else new_bounds
-            instruments = list(self._instruments.values())
-        for instrument in instruments:
-            if (
-                isinstance(instrument, Histogram)
-                and instrument.uses_default_latency_buckets
-                and instrument.bounds != new_bounds
-            ):
-                instrument.rebucket(new_bounds)
+        return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> Optional[_Instrument]:
         with self._lock:
@@ -402,8 +321,11 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     """The Prometheus text exposition format (0.0.4) of a snapshot document.
 
     ``snapshot`` has :meth:`MetricsRegistry.snapshot`'s shape.  Series
-    and histogram buckets are written in the document's order, and
-    exemplars stay JSON-only: the 0.0.4 format predates them.
+    are written in the document's order and each histogram's buckets in
+    ascending ``le``, ``+Inf`` last, as the format requires: a snapshot
+    that went through ``json.dumps(sort_keys=True)`` holds them in
+    string order.  Exemplars stay JSON-only: the 0.0.4 format predates
+    them.
     """
     lines: List[str] = []
     for name in sorted(snapshot):
@@ -416,7 +338,10 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
             key = _label_key(series["labels"])
             labels = _format_labels(key)
             if instrument["type"] == "histogram":
-                for bound, cumulative in series["buckets"].items():
+                buckets = sorted(
+                    series["buckets"].items(), key=lambda item: float(item[0])
+                )
+                for bound, cumulative in buckets:
                     le_labels = _format_labels(key, extra=[("le", bound)])
                     lines.append(f"{name}_bucket{le_labels} {cumulative}")
                 lines.append(f"{name}_sum{labels} {_format_value(series['sum'])}")

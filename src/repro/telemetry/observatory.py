@@ -3,12 +3,12 @@
 Two operator questions the raw metrics cannot answer:
 
 * **How fast is each dataset burning its ε budget?**
-  :func:`budget_timelines` replays privacy-ledger entries (already read
-  and deduplicated by the accountant's pure-read replay — no lock
-  traffic on the append path) into per-dataset burn-down timelines:
-  cumulative spend after every charge/refund plus remaining headroom
-  under the lifetime cap.  Served by ``GET /budget`` and rendered by
-  ``dpcopula budget``.
+  :func:`budget_timelines` folds privacy-ledger entries (read by the
+  accountant's pure-read replay — no lock traffic on the append path)
+  through :class:`~repro.dp.budget.PrivacyLedger`, the accountant's own
+  fold, into per-dataset burn-down timelines: cumulative spend after
+  every charge/refund plus remaining headroom under the lifetime cap.
+  Served by ``GET /budget`` and rendered by ``dpcopula budget``.
 
 * **How good is the data each served model produces?**
   :class:`UtilityProbe` periodically draws a small *deterministic*
@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.dp.budget import LedgerEntry, PrivacyLedger
 from repro.queries.workloads import (
     coarse_edges,
     gaussian_copula_pair_probabilities,
@@ -107,53 +108,44 @@ _PROBE_KWAY_BINS = 8
 
 
 def budget_timelines(
-    entries: Iterable[Dict[str, Any]],
+    entries: Iterable[LedgerEntry],
     epsilon_cap: float,
     datasets: Iterable[str] = (),
 ) -> Dict[str, Any]:
-    """Fold replayed ledger entries into per-dataset ε burn-down timelines.
+    """Fold ledger entries into per-dataset ε burn-down timelines.
 
-    ``entries`` is the accountant's pure-read replay (append order,
-    idempotency-deduplicated).  ``datasets`` adds known dataset ids so a
-    dataset with no charges yet still shows full headroom.  Refunds are
-    clipped at zero exactly like the accountant's in-memory replay.
+    ``entries`` are parsed ledger lines in append order
+    (:func:`repro.service.accountant.replay_ledger`); the fold skips
+    repeated idempotency keys and clips refunds at zero exactly as the
+    accountant does.  ``datasets`` adds known dataset ids so a dataset
+    with no charges yet still shows full headroom.
     """
-    epsilon_cap = float(epsilon_cap)
-    per_dataset: Dict[str, List[Dict[str, Any]]] = {}
-    for dataset_id in datasets:
-        per_dataset.setdefault(str(dataset_id), [])
+    ledger = PrivacyLedger(epsilon_cap)
+    events: Dict[str, List[Dict[str, Any]]] = {str(d): [] for d in datasets}
     for entry in entries:
-        per_dataset.setdefault(str(entry["dataset"]), []).append(entry)
-
-    timelines = []
-    for dataset_id in sorted(per_dataset):
-        spent = 0.0
-        events = []
-        for entry in per_dataset[dataset_id]:
-            epsilon = float(entry["epsilon"])
-            kind = str(entry.get("kind", "charge"))
-            if kind == "refund":
-                spent = max(0.0, spent - epsilon)
-            else:
-                spent += epsilon
-            events.append(
+        if ledger.apply(entry):
+            events.setdefault(entry.dataset, []).append(
                 {
-                    "timestamp": entry.get("timestamp"),
-                    "epsilon": epsilon,
-                    "label": entry.get("label", ""),
-                    "kind": kind,
-                    "spent_after": spent,
-                    "remaining_after": max(0.0, epsilon_cap - spent),
+                    "timestamp": entry.timestamp,
+                    "epsilon": entry.epsilon,
+                    "label": entry.label,
+                    "kind": entry.kind,
+                    "spent_after": ledger.spent[entry.dataset],
+                    "remaining_after": ledger.remaining(entry.dataset),
                 }
             )
+    epsilon_cap = ledger.epsilon_cap
+    timelines = []
+    for dataset_id in sorted(events):
+        spent = ledger.spent.get(dataset_id, 0.0)
         timelines.append(
             {
                 "dataset_id": dataset_id,
                 "epsilon_cap": epsilon_cap,
                 "epsilon_spent": spent,
-                "epsilon_remaining": max(0.0, epsilon_cap - spent),
+                "epsilon_remaining": ledger.remaining(dataset_id),
                 "utilization": (spent / epsilon_cap) if epsilon_cap > 0 else 1.0,
-                "events": events,
+                "events": events[dataset_id],
             }
         )
     return {"epsilon_cap": epsilon_cap, "datasets": timelines}

@@ -1,11 +1,16 @@
 """Tests for the durable cross-restart privacy accountant."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dp.budget import BudgetExhaustedError
 from repro.service.accountant import PrivacyAccountant, replay_ledger
+from repro.telemetry.observatory import budget_timelines
 
 
 @pytest.fixture
@@ -159,7 +164,7 @@ class TestTornTail:
         ledger_path.write_text(
             '{"dataset": "adult", "epsilon": 1.0, "key": "fit:j1"}\n' + tail
         )
-        offline = sum(entry["epsilon"] for entry in replay_ledger(ledger_path))
+        offline = sum(entry.epsilon for entry in replay_ledger(ledger_path))
         accountant = PrivacyAccountant(ledger_path, epsilon_cap=10.0)
         assert offline == accountant.spent("adult") == pytest.approx(spent)
 
@@ -173,6 +178,115 @@ class TestTornTail:
         assert summary["charges"][0]["label"] == "fit:kendall:j1"
         # The summary must be JSON-serializable as-is (it feeds the API).
         json.dumps(summary)
+
+
+# -- one reading of the ledger ----------------------------------------------
+
+_CAP = 3.0
+_DATASETS = ("d0", "d1", "d2")
+
+#: Hand-written ledger text each row starts from.  The key rows hold
+#: lines every reader must fold by one key rule: ``""`` is a key, and
+#: ``7`` and ``"7"`` are the same key.
+_LEDGER_PREFIXES = {
+    "empty": "",
+    "empty-string-key": '{"dataset": "d0", "epsilon": 1.0, "key": ""}\n' * 2,
+    "int-and-str-key": (
+        '{"dataset": "d0", "epsilon": 1.0, "key": 7}\n'
+        '{"dataset": "d0", "epsilon": 1.0, "key": "7"}\n'
+    ),
+    "unterminated-last-line": (
+        '{"dataset": "d0", "epsilon": 1.0, "key": "fit:j1"}\n'
+        '{"dataset": "d1", "epsilon": 2.0, "key": "fit:j2"}'
+    ),
+    "torn-last-line": (
+        '{"dataset": "d0", "epsilon": 1.0, "key": "fit:j1"}\n'
+        '{"dataset": "d1", "eps'
+    ),
+}
+
+_LEDGER_OPS = st.integers(min_value=1, max_value=3).flatmap(
+    lambda datasets: st.lists(
+        st.tuples(
+            st.sampled_from(("charge", "refund")),
+            st.sampled_from(_DATASETS[:datasets]),
+            st.floats(min_value=0.01, max_value=2.0),
+            st.sampled_from((None, "", "7", 7, "a", "b")),
+        ),
+        max_size=8,
+    )
+)
+
+
+def _accountant_views(accountant, dataset):
+    """``(spent, remaining, entries)`` from the accessors and from summary()."""
+    entries = [
+        (r.get("kind", "charge"), r["epsilon"], r.get("label", ""), r.get("timestamp"))
+        for r in accountant.entries(dataset)
+    ]
+    summary = accountant.summary(dataset)
+    charges = [
+        (c["kind"], c["epsilon"], c["label"], c["timestamp"])
+        for c in summary["charges"]
+    ]
+    return (
+        (accountant.spent(dataset), accountant.remaining(dataset), entries),
+        (summary["epsilon_spent"], summary["epsilon_remaining"], charges),
+    )
+
+
+def _offline_views(ledger_path):
+    """Per dataset ``(spent, remaining, entries)`` of the lock-free replay."""
+    document = budget_timelines(
+        replay_ledger(ledger_path), _CAP, datasets=_DATASETS
+    )
+    return {
+        timeline["dataset_id"]: (
+            timeline["epsilon_spent"],
+            timeline["epsilon_remaining"],
+            [
+                (e["kind"], e["epsilon"], e["label"], e["timestamp"])
+                for e in timeline["events"]
+            ],
+        )
+        for timeline in document["datasets"]
+    }
+
+
+def _assert_readers_agree(offline, *accountants):
+    for dataset in _DATASETS:
+        views = {"offline": offline[dataset]}
+        for name, accountant in zip(("live", "restarted"), accountants):
+            views[name], views[f"{name} summary()"] = _accountant_views(
+                accountant, dataset
+            )
+        for name, view in views.items():
+            assert view == views["offline"], (dataset, name, views)
+
+
+class TestOneReadingOfTheLedger:
+    """Every reader of ``ledger.jsonl`` folds it to the same spends."""
+
+    @pytest.mark.parametrize("prefix", list(_LEDGER_PREFIXES))
+    @given(ops=_LEDGER_OPS)
+    @settings(max_examples=25, deadline=None)
+    def test_every_reader_agrees(self, prefix, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            ledger_path = Path(directory) / "ledger.jsonl"
+            ledger_path.write_text(_LEDGER_PREFIXES[prefix])
+            # Read the hand-written file first: the accountant repairs
+            # a torn or unterminated tail when it starts.
+            offline = _offline_views(ledger_path)
+            live = PrivacyAccountant(ledger_path, epsilon_cap=_CAP)
+            _assert_readers_agree(offline, live)
+            for kind, dataset, epsilon, key in ops:
+                journal = live.charge if kind == "charge" else live.refund
+                try:
+                    journal(dataset, epsilon, label=f"{kind}:{dataset}", key=key)
+                except BudgetExhaustedError:
+                    pass
+            restarted = PrivacyAccountant(ledger_path, epsilon_cap=_CAP)
+            _assert_readers_agree(_offline_views(ledger_path), live, restarted)
 
 
 # -- inter-process charging ------------------------------------------------

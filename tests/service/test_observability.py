@@ -7,6 +7,8 @@ import pytest
 
 from repro.telemetry.metrics import REGISTRY
 
+from tests.telemetry.test_aggregate import assert_buckets_ascend
+
 
 @pytest.fixture
 def propagating_logs(monkeypatch):
@@ -102,6 +104,7 @@ class TestMetricsEndpoint:
         # The traced service fit feeds the per-stage histograms.
         assert 'dpcopula_stage_seconds_count{stage="margins"}' in text
         assert 'dpcopula_stage_seconds_count{stage="correlation"}' in text
+        assert_buckets_ascend(text)
 
     def test_epsilon_gauges_track_the_accountant(self, http_service, csv_text):
         service, client = http_service

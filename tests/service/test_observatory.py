@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.dp.budget import parse_ledger_line
 from repro.service import ServiceConfig, SynthesisService, build_server
 from repro.service.registry import ModelRegistry
 from repro.telemetry.metrics import REGISTRY
@@ -19,13 +20,18 @@ from repro.telemetry.observatory import (
 from tests.service.test_observability import upload_and_fit
 
 
+def _entries(*records):
+    """Ledger entries as the replay reads them: one parsed line each."""
+    return [parse_ledger_line(json.dumps(record)) for record in records]
+
+
 class TestBudgetTimelines:
     def test_charges_accumulate_into_burn_down(self):
-        entries = [
+        entries = _entries(
             {"dataset": "adult", "epsilon": 1.0, "label": "fit:a", "timestamp": 10.0},
             {"dataset": "adult", "epsilon": 0.5, "label": "fit:b", "timestamp": 20.0},
             {"dataset": "census", "epsilon": 2.0, "label": "fit:c", "timestamp": 15.0},
-        ]
+        )
         doc = budget_timelines(entries, epsilon_cap=4.0)
         assert doc["epsilon_cap"] == 4.0
         by_id = {d["dataset_id"]: d for d in doc["datasets"]}
@@ -39,11 +45,11 @@ class TestBudgetTimelines:
         assert by_id["census"]["epsilon_spent"] == 2.0
 
     def test_refunds_are_clipped_at_zero(self):
-        entries = [
+        entries = _entries(
             {"dataset": "d", "epsilon": 1.0, "kind": "charge"},
             {"dataset": "d", "epsilon": 5.0, "kind": "refund"},
             {"dataset": "d", "epsilon": 0.5, "kind": "charge"},
-        ]
+        )
         (timeline,) = budget_timelines(entries, epsilon_cap=2.0)["datasets"]
         assert [e["spent_after"] for e in timeline["events"]] == [1.0, 0.0, 0.5]
         assert timeline["epsilon_spent"] == 0.5
@@ -57,7 +63,7 @@ class TestBudgetTimelines:
         assert timeline["events"] == []
 
     def test_overspent_dataset_clamps_remaining(self):
-        entries = [{"dataset": "d", "epsilon": 9.0}]
+        entries = _entries({"dataset": "d", "epsilon": 9.0})
         (timeline,) = budget_timelines(entries, epsilon_cap=4.0)["datasets"]
         assert timeline["epsilon_remaining"] == 0.0
         assert timeline["utilization"] == pytest.approx(9.0 / 4.0)

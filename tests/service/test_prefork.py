@@ -35,6 +35,7 @@ from repro.service.errors import QueueFullError
 from repro.service.prefork import WORKERS_ENV_VAR
 
 from tests.service.conftest import ServiceClient
+from tests.telemetry.test_aggregate import assert_buckets_ascend
 
 
 def _fit_release(dataset) -> ReleasedModel:
@@ -143,6 +144,28 @@ class TestBuildServerSocketModes:
         finally:
             placeholder.close()
 
+    def test_inherited_socket_never_blocks_in_accept(self, service):
+        # A worker that lost the race for a connection on the shared
+        # socket finds none waiting: accept must fail at once, or the
+        # worker sits in accept() where a SIGTERM drain cannot reach it.
+        listener = socket.create_server(("127.0.0.1", 0))
+        outcome = []
+
+        def accept_nothing():
+            try:
+                server.get_request()
+            except BlockingIOError:
+                outcome.append("would block")
+
+        try:
+            server = build_server(service, listen_socket=listener)
+            thread = threading.Thread(target=accept_nothing, daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert outcome == ["would block"]
+        finally:
+            listener.close()
+
     def test_worker_label_header(self, service):
         server = build_server(service, worker_label="7")
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -199,6 +222,7 @@ class TestFleetServing:
         ) as response:
             text = response.read().decode()
         assert 'worker="0"' in text and 'worker="1"' in text
+        assert_buckets_ascend(text)
 
     def test_fit_submitted_to_any_worker_completes(
         self, fleet_factory, csv_text, small_dataset

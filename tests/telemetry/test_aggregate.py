@@ -1,6 +1,10 @@
 """Tests for cross-worker metrics snapshots and the /metrics exposition text."""
 
 import json
+import math
+import re
+
+import pytest
 
 from repro.telemetry.aggregate import (
     aggregate_snapshot,
@@ -10,6 +14,21 @@ from repro.telemetry.aggregate import (
     write_snapshot,
 )
 from repro.telemetry.metrics import MetricsRegistry, render_prometheus
+
+# One histogram bucket line; ``le`` is always the last label.
+_BUCKET_LINE = re.compile(r'^(?P<series>\S+_bucket\{.*)le="(?P<le>[^"]+)"\} \S+$')
+
+
+def assert_buckets_ascend(text):
+    """Each histogram series in ``text`` lists its buckets by ascending ``le``."""
+    bounds = {}
+    for line in text.splitlines():
+        match = _BUCKET_LINE.match(line)
+        if match:
+            bounds.setdefault(match["series"], []).append(float(match["le"]))
+    assert bounds, "no histogram buckets in the exposition text"
+    for series, les in bounds.items():
+        assert les == sorted(set(les)) and les[-1] == math.inf, (series, les)
 
 
 def _registry_with_traffic(requests=3.0, route="sample"):
@@ -160,41 +179,41 @@ _SINGLE_PROCESS_TEXT = (
     'demo_unhelped_total 1\n'
 )
 
-# A fleet's buckets come back from the sort_keys snapshot files in
-# string order, "+Inf" first.
+# The snapshot files hold each histogram's buckets in string order
+# (sort_keys); the renderer puts them back in ascending le.
 _TWO_WORKER_TEXT = (
     '# HELP demo_latency_seconds Request latency\n'
     '# TYPE demo_latency_seconds histogram\n'
-    'demo_latency_seconds_bucket{route="fit",worker="0",le="+Inf"} 1\n'
     'demo_latency_seconds_bucket{route="fit",worker="0",le="0.01"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="0",le="0.1"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="0",le="1"} 0\n'
-    'demo_latency_seconds_bucket{route="fit",worker="0",le="10"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="0",le="2.5"} 0\n'
+    'demo_latency_seconds_bucket{route="fit",worker="0",le="10"} 0\n'
+    'demo_latency_seconds_bucket{route="fit",worker="0",le="+Inf"} 1\n'
     'demo_latency_seconds_sum{route="fit",worker="0"} 20\n'
     'demo_latency_seconds_count{route="fit",worker="0"} 1\n'
-    'demo_latency_seconds_bucket{route="sample",worker="0",le="+Inf"} 2\n'
     'demo_latency_seconds_bucket{route="sample",worker="0",le="0.01"} 1\n'
     'demo_latency_seconds_bucket{route="sample",worker="0",le="0.1"} 1\n'
     'demo_latency_seconds_bucket{route="sample",worker="0",le="1"} 2\n'
-    'demo_latency_seconds_bucket{route="sample",worker="0",le="10"} 2\n'
     'demo_latency_seconds_bucket{route="sample",worker="0",le="2.5"} 2\n'
+    'demo_latency_seconds_bucket{route="sample",worker="0",le="10"} 2\n'
+    'demo_latency_seconds_bucket{route="sample",worker="0",le="+Inf"} 2\n'
     'demo_latency_seconds_sum{route="sample",worker="0"} 0.505\n'
     'demo_latency_seconds_count{route="sample",worker="0"} 2\n'
-    'demo_latency_seconds_bucket{route="fit",worker="1",le="+Inf"} 1\n'
     'demo_latency_seconds_bucket{route="fit",worker="1",le="0.01"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="1",le="0.1"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="1",le="1"} 0\n'
-    'demo_latency_seconds_bucket{route="fit",worker="1",le="10"} 0\n'
     'demo_latency_seconds_bucket{route="fit",worker="1",le="2.5"} 0\n'
+    'demo_latency_seconds_bucket{route="fit",worker="1",le="10"} 0\n'
+    'demo_latency_seconds_bucket{route="fit",worker="1",le="+Inf"} 1\n'
     'demo_latency_seconds_sum{route="fit",worker="1"} 20\n'
     'demo_latency_seconds_count{route="fit",worker="1"} 1\n'
-    'demo_latency_seconds_bucket{route="sample",worker="1",le="+Inf"} 2\n'
     'demo_latency_seconds_bucket{route="sample",worker="1",le="0.01"} 1\n'
     'demo_latency_seconds_bucket{route="sample",worker="1",le="0.1"} 1\n'
     'demo_latency_seconds_bucket{route="sample",worker="1",le="1"} 2\n'
-    'demo_latency_seconds_bucket{route="sample",worker="1",le="10"} 2\n'
     'demo_latency_seconds_bucket{route="sample",worker="1",le="2.5"} 2\n'
+    'demo_latency_seconds_bucket{route="sample",worker="1",le="10"} 2\n'
+    'demo_latency_seconds_bucket{route="sample",worker="1",le="+Inf"} 2\n'
     'demo_latency_seconds_sum{route="sample",worker="1"} 1.01\n'
     'demo_latency_seconds_count{route="sample",worker="1"} 2\n'
     '# HELP demo_queue_depth Jobs waiting\n'
@@ -226,3 +245,20 @@ class TestExpositionText:
         write_snapshot(_pinned_registry(1), tmp_path, 0)
         write_snapshot(_pinned_registry(2), tmp_path, 1)
         assert _fleet_text(tmp_path) == _TWO_WORKER_TEXT
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["one-process", "two-workers"])
+    def test_buckets_ascend_in_le(self, tmp_path, workers):
+        # The default latency buckets: their string order ("+Inf",
+        # "0.001", "0.0025", ..., "10", "120", "2.5", ...) is far from
+        # their numeric order.
+        registry = MetricsRegistry()
+        latency = registry.histogram("demo_seconds", "Latency")
+        for value in (0.0004, 0.003, 0.7, 45.0, 500.0):
+            latency.observe(value, route="sample")
+        if workers == 1:
+            text = render_prometheus(registry.snapshot())
+        else:
+            for index in range(workers):
+                write_snapshot(registry, tmp_path, index)
+            text = _fleet_text(tmp_path)
+        assert_buckets_ascend(text)

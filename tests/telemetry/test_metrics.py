@@ -88,6 +88,10 @@ class TestHistogram:
         with pytest.raises(ValueError, match="at least one bucket"):
             Histogram("h", buckets=())
 
+    def test_rejects_nan_buckets(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Histogram("h", buckets=(1.0, float("nan")))
+
     def test_threaded_observations_are_lossless(self):
         histogram = Histogram("h", buckets=(10.0,))
 
@@ -226,51 +230,3 @@ class TestBucketMonotonicity:
         assert cumulative == sorted(cumulative)
         assert list(series["buckets"])[-1] == "+Inf"
         assert cumulative[-1] == series["count"] == 6
-
-
-class TestLatencyBucketConfig:
-    def test_parse_rejects_garbage(self):
-        from repro.telemetry.metrics import parse_latency_buckets
-
-        for bad in ("", "  ", "a,b", "0.1,oops", "0,1", "-1,2", "inf,1"):
-            with pytest.raises(ValueError):
-                parse_latency_buckets(bad)
-
-    def test_parse_sorts_and_dedupes(self):
-        from repro.telemetry.metrics import parse_latency_buckets
-
-        assert parse_latency_buckets("5, 0.5,5 ,0.05") == (0.05, 0.5, 5.0)
-
-    def test_configure_rebuckets_only_default_latency_histograms(self):
-        registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "Latency")
-        sizes = registry.histogram("fanout", "Fanout", buckets=(2.0, 8.0))
-        registry.configure_latency_buckets((0.5, 2.0))
-        assert latency.bounds == (0.5, 2.0)
-        assert sizes.bounds == (2.0, 8.0)
-        # Histograms created *after* configuration pick the override up.
-        late = registry.histogram("late_seconds", "Later latency")
-        assert late.bounds == (0.5, 2.0)
-
-    def test_configure_none_restores_builtin_spread(self):
-        from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS
-
-        registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "Latency")
-        registry.configure_latency_buckets((0.5,))
-        registry.configure_latency_buckets(None)
-        assert latency.bounds == tuple(DEFAULT_LATENCY_BUCKETS)
-
-    def test_rebucket_clears_recorded_series(self):
-        histogram = Histogram("h_seconds", buckets=(1.0,))
-        histogram.observe(0.5)
-        histogram.rebucket((0.25, 2.5))
-        assert histogram.count() == 0
-        assert histogram.bounds == (0.25, 2.5)
-
-    def test_rebucket_rejects_empty_and_nan(self):
-        histogram = Histogram("h_seconds", buckets=(1.0,))
-        with pytest.raises(ValueError):
-            histogram.rebucket(())
-        with pytest.raises(ValueError):
-            histogram.rebucket((float("nan"),))

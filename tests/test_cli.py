@@ -85,7 +85,6 @@ _SERVE_DEFAULTS = {
     "worker_index": None,
     "metrics_flush_seconds": 1.0,
     "slow_request_seconds": 1.0,
-    "latency_buckets": None,
     "trace_export_enabled": True,
     "trace_export_max_bytes": 4 * 1024 * 1024,
     "trace_export_files": 2,
@@ -121,7 +120,7 @@ _SERVE_CONFIG_TABLE = {
             "--coalesce-window", "0.002", "--max-coalesced-records", "1000",
             "--sample-queue-limit", "9", "--model-cache-size", "4",
             "--workers", "2", "--slow-request-threshold", "0.5",
-            "--latency-buckets", "0.5,2", "--no-trace-export",
+            "--no-trace-export",
             "--probe-interval", "3", "--probe-sample-size", "64",
         ],
         None,
@@ -140,16 +139,12 @@ _SERVE_CONFIG_TABLE = {
             "model_cache_size": 4,
             "workers": 2,
             "slow_request_seconds": 0.5,
-            "latency_buckets": (0.5, 2.0),
             "trace_export_enabled": False,
             "probe_interval_seconds": 3.0,
             "probe_sample_size": 64,
         },
     ),
     "no-trace-export": (["--no-trace-export"], None, {"trace_export_enabled": False}),
-    "latency-buckets-sorted": (
-        ["--latency-buckets", "0.1,0.01,1"], None, {"latency_buckets": (0.01, 0.1, 1.0)}
-    ),
     "workers-from-environment": ([], "2", {"workers": 2}),
     "explicit-workers-beat-environment": (["--workers", "1"], "2", {}),
 }
@@ -158,7 +153,7 @@ _SERVE_CONFIG_TABLE = {
 class TestServeConfig:
     """``dpcopula serve``'s flags come from ServiceConfig's fields."""
 
-    def test_parser_offers_the_22_serve_flags(self):
+    def test_parser_offers_the_21_serve_flags(self):
         parser = build_parser()
         commands = next(
             action for action in parser._actions if action.dest == "command"
@@ -175,8 +170,7 @@ class TestServeConfig:
             "--fit-timeout", "--request-timeout", "--coalesce-window",
             "--max-coalesced-records", "--sample-queue-limit",
             "--model-cache-size", "--slow-request-threshold",
-            "--latency-buckets", "--no-trace-export", "--probe-interval",
-            "--probe-sample-size",
+            "--no-trace-export", "--probe-interval", "--probe-sample-size",
         }
 
     @pytest.mark.parametrize("row", list(_SERVE_CONFIG_TABLE))
@@ -205,7 +199,6 @@ class TestServeConfig:
             ("--model-cache-size", "-1"),
             ("--probe-sample-size", "0"),
             ("--request-timeout", "-1"),
-            ("--latency-buckets", "0,-1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_the_data_dir_exists(

@@ -60,44 +60,26 @@ class TestExecutionContext:
         assert context.map_tasks(_square, [1, 2]) == [1, 4]
 
 
-class TestFromSpec:
-    def test_plain_backend(self):
-        context = ExecutionContext.from_spec("thread")
-        assert context.backend == "thread"
-
-    def test_backend_with_workers(self):
-        context = ExecutionContext.from_spec("process:4")
-        assert context.backend == "process"
-        assert context.max_workers == 4
-
-    def test_none_and_empty_default_to_serial(self):
-        assert ExecutionContext.from_spec(None).backend == "serial"
-        assert ExecutionContext.from_spec("  ").backend == "serial"
-
-    def test_passthrough(self):
-        context = ExecutionContext("thread", max_workers=2)
-        assert ExecutionContext.from_spec(context) is context
-
-    def test_rejects_garbage_worker_count(self):
-        with pytest.raises(ValueError, match="worker count"):
-            ExecutionContext.from_spec("thread:lots")
-
-
 class TestResolveContext:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("DPCOPULA_PARALLEL", raising=False)
+    def test_default_is_serial(self):
         assert resolve_context(None).backend == "serial"
 
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("DPCOPULA_PARALLEL", "thread:3")
-        context = resolve_context(None)
-        assert context.backend == "thread"
-        assert context.max_workers == 3
+    def test_explicit_context_passes_through(self):
+        explicit = ExecutionContext("thread", max_workers=2)
+        assert resolve_context(explicit) is explicit
 
     def test_explicit_context_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("DPCOPULA_PARALLEL", "thread:3")
         explicit = ExecutionContext("serial")
         assert resolve_context(explicit) is explicit
+
+    def test_none_is_serial_whatever_the_env(self, monkeypatch):
+        # DPCOPULA_PARALLEL once turned context=None into a pool; nothing
+        # reads it any more, so None stays serial with it set.
+        monkeypatch.setenv("DPCOPULA_PARALLEL", "thread:3")
+        context = resolve_context(None)
+        assert context.backend == "serial"
+        assert context.is_serial
 
 
 class TestSeedSpawning:

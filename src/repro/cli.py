@@ -811,13 +811,11 @@ def _jobs(args) -> int:
     if not records:
         print("no journaled jobs")
         return 0
-    print(f"{'JOB ID':<14} {'STATE':<10} {'DATASET':<16} {'METHOD':<10} "
-          f"{'EPSILON':<8} STAGES")
+    print(f"{'JOB ID':<14} {'STATE':<10} {'DATASET':<16} {'METHOD':<10} EPSILON")
     for record in records:
-        stages = ",".join(record.stages_done) or "-"
         print(
             f"{record.job_id:<14} {record.state:<10} {record.dataset_id:<16} "
-            f"{record.method:<10} {record.epsilon:<8g} {stages}"
+            f"{record.method:<10} {record.epsilon:g}"
         )
     return 0
 

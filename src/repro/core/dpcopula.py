@@ -13,6 +13,11 @@ The single algorithmic knob is ``k = ε₁ / ε₂`` (paper default 8;
 Figure 5 shows robustness for any ``k >= 1``).  The end-to-end release is
 ``ε``-differentially private by sequential composition, and the attached
 :class:`~repro.dp.budget.PrivacyBudget` ledger records the exact split.
+
+Every mechanism of a fit draws from the synthesizer's one generator, in
+stage order, so a seed fixes the release: the library, ``dpcopula
+synthesize`` and a service fit (which only adds a stage hook, see
+:meth:`DPCopulaSynthesizer.fit`) release the same arrays for one seed.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.core.sampling import sample_synthetic
 from repro.data.dataset import Dataset, Schema
 from repro.dp.budget import PrivacyBudget, split_budget_by_ratio
 from repro.histograms.base import HistogramPublisher
-from repro.parallel import ExecutionContext, resolve_context, spawn_generators
+from repro.parallel import ExecutionContext, resolve_context
 from repro.resilience import faults
 from repro.resilience.deadlines import current_deadline
 from repro.telemetry import get_logger, trace
@@ -40,9 +45,13 @@ _logger = get_logger("core.dpcopula")
 DEFAULT_RATIO_K = 8.0
 
 
-def _margin_order(key: str) -> int:
-    """Numeric sort key for ``margin_<j>`` checkpoint array names."""
-    return int(key.rsplit("_", 1)[1])
+def _enter_stage(stage: str, deadline, checkpoint) -> None:
+    """A stage boundary: deadline check, fault point, then the stage hook."""
+    if deadline is not None:
+        deadline.check(f"fit stage {stage!r}")
+    faults.inject(f"fit.{stage}")
+    if checkpoint is not None:
+        checkpoint.save(stage)
 
 
 class DPCopulaSynthesizer(abc.ABC):
@@ -90,13 +99,6 @@ class DPCopulaSynthesizer(abc.ABC):
         self.correlation_: Optional[np.ndarray] = None
         self._schema: Optional[Schema] = None
         self._n_records: Optional[int] = None
-        #: Whether this fit has drawn any noise against the privacy
-        #: budget yet.  ``False`` until the instant before the first DP
-        #: mechanism runs, which is the provably-safe refund window: a
-        #: failure while this is still ``False`` means the data never
-        #: influenced any released (or releasable) value, so a charged
-        #: ε may be refunded (see docs/RELIABILITY.md).
-        self.privacy_touched_ = False
 
     @property
     def is_fitted(self) -> bool:
@@ -125,19 +127,13 @@ class DPCopulaSynthesizer(abc.ABC):
     def fit(self, dataset: Dataset, checkpoint=None) -> "DPCopulaSynthesizer":
         """Run steps 1 and 2 on ``dataset``, spending the full budget.
 
-        ``checkpoint`` (optional) is a stage-checkpoint store with
-        ``load(stage) -> dict | None`` and ``save(stage, arrays)``
-        methods (duck-typed; the service passes a
+        ``checkpoint`` (optional) is a stage hook with a ``save(stage)``
+        method (duck-typed; the service passes a
         :class:`~repro.service.jobs.FitCheckpoint` backed by the job
-        journal).  With a checkpoint attached the fit becomes
-        *resumable*: each stage's output is persisted when computed and
-        reloaded instead of recomputed on a later attempt.  Checkpointed
-        fits derive one independent RNG stream per stage up front
-        (margins, correlation, sampling), so a resumed fit draws exactly
-        the noise an uninterrupted run would have drawn — the release is
-        bitwise the same release, and re-attempts cost no extra ε.
-        Without a checkpoint the historical single-stream RNG threading
-        is preserved unchanged.
+        journal).  ``save`` runs at each stage boundary, before the
+        stage's mechanism sees the data, so it may raise to stop the fit
+        there.  The hook draws nothing from the generator: a fit with a
+        hook releases bitwise what the same fit without one releases.
 
         Deadlines are honored cooperatively at stage boundaries (and
         between parallel tasks inside the correlation stage) when one is
@@ -146,11 +142,7 @@ class DPCopulaSynthesizer(abc.ABC):
         """
         if dataset.n_records < 2:
             raise ValueError("DPCopula needs at least two records")
-        self.privacy_touched_ = False
         deadline = current_deadline()
-        stage_rngs = (
-            spawn_generators(self._rng, 3) if checkpoint is not None else None
-        )
         with trace.span(
             "fit",
             method=self.method_name,
@@ -159,53 +151,13 @@ class DPCopulaSynthesizer(abc.ABC):
             epsilon=self.epsilon,
         ):
             budget = PrivacyBudget(self.epsilon)
-            if deadline is not None:
-                deadline.check("fit stage 'margins'")
-            faults.inject("fit.margins")
+            _enter_stage("margins", deadline, checkpoint)
             with trace.span("margins", epsilon1=round(self.epsilon1, 6)):
-                restored = checkpoint.load("margins") if checkpoint else None
-                if restored is not None:
-                    self._margins.restore(
-                        [restored[key] for key in sorted(restored, key=_margin_order)]
-                    )
-                    budget.spend(self.epsilon1, "margins (restored from checkpoint)")
-                else:
-                    self.privacy_touched_ = True
-                    margins_rng = stage_rngs[0] if stage_rngs else self._rng
-                    self._margins.fit(
-                        dataset, self.epsilon1, rng=margins_rng, budget=budget
-                    )
-                    if checkpoint is not None:
-                        checkpoint.save(
-                            "margins",
-                            {
-                                f"margin_{j}": counts
-                                for j, counts in enumerate(self._margins.noisy_counts)
-                            },
-                        )
-            if deadline is not None:
-                deadline.check("fit stage 'correlation'")
-            faults.inject("fit.correlation")
+                self._margins.fit(dataset, self.epsilon1, rng=self._rng, budget=budget)
+            _enter_stage("correlation", deadline, checkpoint)
             with trace.span("correlation", epsilon2=round(self.epsilon2, 6)):
-                restored = checkpoint.load("correlation") if checkpoint else None
-                if restored is not None:
-                    self.correlation_ = np.asarray(
-                        restored["correlation"], dtype=float
-                    )
-                else:
-                    self.privacy_touched_ = True
-                    if stage_rngs is not None:
-                        self._rng = stage_rngs[1]
-                    self.correlation_ = self._estimate_correlation(dataset)
-                    if checkpoint is not None:
-                        checkpoint.save(
-                            "correlation", {"correlation": self.correlation_}
-                        )
+                self.correlation_ = self._estimate_correlation(dataset)
             budget.spend(self.epsilon2, "correlation matrix")
-            if stage_rngs is not None:
-                # Sampling gets its own stream so post-fit draws are
-                # identical whether or not any stage was resumed.
-                self._rng = stage_rngs[2]
         _logger.debug(
             "fit complete",
             extra={

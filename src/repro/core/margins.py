@@ -10,7 +10,7 @@ used by the sampler.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -68,18 +68,6 @@ class DPMargins:
                     budget.spend(per_margin, f"margin:{dataset.schema[j].name}")
                 self._noisy_counts.append(np.asarray(noisy, dtype=float))
                 self._cdfs.append(HistogramCDF(noisy))
-        return self
-
-    def restore(self, noisy_counts: Sequence[np.ndarray]) -> "DPMargins":
-        """Rebuild the margins from previously-released noisy counts.
-
-        Used by checkpoint resume (and released-model loading): the
-        counts are already DP releases, so reconstructing the CDFs from
-        them is pure post-processing — no budget is spent and no
-        generator is consumed.
-        """
-        self._noisy_counts = [np.asarray(c, dtype=float) for c in noisy_counts]
-        self._cdfs = [HistogramCDF(counts) for counts in self._noisy_counts]
         return self
 
     @property

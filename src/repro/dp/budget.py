@@ -200,7 +200,11 @@ class PrivacyLedger:
 
     def seen(self, entry: LedgerEntry) -> bool:
         """Whether ``entry``'s idempotency key is already applied."""
-        return entry.key is not None and entry.key in self._keys
+        return entry.key is not None and self.has_key(entry.key)
+
+    def has_key(self, key: str) -> bool:
+        """Whether an entry under idempotency ``key`` is applied."""
+        return key in self._keys
 
     def apply(self, entry: LedgerEntry) -> bool:
         """Fold one entry in; ``False`` (and no change) if its key was seen.

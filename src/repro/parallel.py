@@ -70,7 +70,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionContext",
     "resolve_context",
-    "spawn_generators",
     "spawn_seed_sequences",
 ]
 
@@ -114,11 +113,6 @@ def spawn_seed_sequences(rng: RngLike, n: int) -> List[np.random.SeedSequence]:
     entropy = gen.integers(0, 2**63 - 1, size=_ENTROPY_WORDS).tolist()
     root = np.random.SeedSequence([int(word) for word in entropy])
     return root.spawn(n)
-
-
-def spawn_generators(rng: RngLike, n: int) -> List[np.random.Generator]:
-    """:func:`spawn_seed_sequences`, materialized into ``Generator``s."""
-    return [np.random.default_rng(seq) for seq in spawn_seed_sequences(rng, n)]
 
 
 # Worker-process state installed by the pool initializer: the shared

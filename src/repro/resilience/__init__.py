@@ -15,9 +15,9 @@ pieces (see docs/RELIABILITY.md for the operator-facing story):
   expired deadlines are never retried, and any exception can be
   marked non-retryable at the raise site.
 * :mod:`repro.resilience.journal` — the durable fit-job journal.
-  Job lifecycle records and per-stage checkpoints (margins →
-  correlation) are persisted under the service data directory so a
-  restarted ``dpcopula serve`` resumes in-flight jobs — or cleanly
+  One lifecycle record per job, carrying the noise mark and the
+  refund-due flag, is persisted under the service data directory so a
+  restarted ``dpcopula serve`` reruns in-flight jobs — or cleanly
   voids them — instead of losing them (and the ε they charged).
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (``DPCOPULA_FAULTS`` environment variable) used by the
@@ -27,7 +27,7 @@ pieces (see docs/RELIABILITY.md for the operator-facing story):
 Layering: this package sits *below* :mod:`repro.parallel` and
 :mod:`repro.service` (both import it) and depends only on the
 telemetry layer, :mod:`repro.utils`, :mod:`repro.dp.budget` (for
-its exhaustion error), numpy and the standard library.
+its exhaustion error) and the standard library.
 """
 
 from repro.resilience.deadlines import (

@@ -2,7 +2,7 @@
 
 The chaos suite (``tests/resilience/``) needs to make precisely-placed
 bad things happen: kill a pool worker, stall a fit stage, fail a ledger
-append, tear a checkpoint write in half.  Production code is sprinkled
+append, tear a write in half.  Production code is sprinkled
 with cheap named *fault points* — ``faults.inject("parallel.chunk")`` —
 that are inert unless the ``DPCOPULA_FAULTS`` environment variable (or
 an explicit :func:`configure` call) arms a plan.

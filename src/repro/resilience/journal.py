@@ -1,29 +1,32 @@
-"""The durable fit-job journal: lifecycle records plus stage checkpoints.
+"""The durable fit-job journal: one lifecycle record per job.
 
 A fit job is seconds-to-minutes of work that has *already charged* the
 privacy accountant when it starts computing.  Losing the job to a
 process restart would strand that ε — charged but yielding no model —
 which is the worst possible failure for a one-shot-budget synthesizer
 (the PrivSyn/Gaussian-copula deployment literature stresses exactly
-this).  The journal makes jobs durable:
+this).  The journal makes jobs durable with one file per job:
+``<jobs-dir>/<job_id>.json``, rewritten atomically on every transition
+(``queued`` → ``running`` → ``done`` / ``failed`` / ``cancelled`` /
+``voided``).  The record is the job's only state: the service renders
+every job document from it, so every worker and every restart reads the
+same job.
 
-* ``<jobs-dir>/<job_id>.json`` — the job's lifecycle record, rewritten
-  atomically on every transition (``queued`` → ``running`` → ``done`` /
-  ``failed`` / ``cancelled`` / ``voided``).  The record is the job's only
-  state: the service renders every job document from it, so every
-  worker and every restart reads the same job.
-* ``<jobs-dir>/<job_id>.<stage>.npz`` — per-stage checkpoints (the DP
-  margin counts, the DP correlation matrix).  Stage outputs are
-  themselves ε-paid releases, so persisting them leaks nothing beyond
-  the release the job was charged for.
+Two marks in the record carry the privacy protocol
+(docs/RELIABILITY.md):
+
+* ``noise_drawn`` is journaled once, before the fit's first mechanism
+  sees the data.  From then on the ε is spent and the job is never
+  refunded, whatever happens to it.
+* ``refund_due`` is set by the terminal write of a charged job that
+  ended without that mark, *before* its refund is appended to the
+  ledger, so a restart can complete the refund and never resumes the
+  job.
 
 On startup the service replays the journal: ``queued``/``running``
-jobs are re-enqueued and *resume* — completed stages are reloaded from
-their checkpoints instead of recomputed — or are cleanly ``voided``
-when resumption is impossible (e.g. the dataset is gone).  A torn
-checkpoint (crash mid-write) is detected on load and treated as
-absent: the stage recomputes from its per-stage seed, bitwise
-identically.
+jobs are re-enqueued and rerun from scratch with their journaled seed,
+which redraws bitwise the noise an uninterrupted run draws, or are
+cleanly ``voided`` when that is impossible (e.g. the dataset is gone).
 
 The journal is also the control channel for cancellation: ``dpcopula
 jobs --cancel`` (or ``POST /fits/<id>/cancel``) cancels a queued job
@@ -33,19 +36,14 @@ stage boundaries.
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 import time
-import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-import numpy as np
-
-from repro.resilience import faults
 from repro.telemetry import get_logger, metrics
 from repro.utils import atomic_write_bytes, interprocess_lock
 
@@ -77,10 +75,9 @@ class JobRecord:
     k: float
     seed: int
     state: str = "queued"
-    charged: bool = False
     attempts: int = 0
-    stages_done: List[str] = field(default_factory=list)
-    stage_computed: Dict[str, int] = field(default_factory=dict)
+    noise_drawn: bool = False
+    refund_due: bool = False
     cancel_requested: bool = False
     model_id: Optional[str] = None
     error: Optional[str] = None
@@ -103,10 +100,9 @@ class JobRecord:
             "k": self.k,
             "seed": self.seed,
             "state": self.state,
-            "charged": self.charged,
             "attempts": self.attempts,
-            "stages_done": list(self.stages_done),
-            "stage_computed": dict(self.stage_computed),
+            "noise_drawn": self.noise_drawn,
+            "refund_due": self.refund_due,
             "cancel_requested": self.cancel_requested,
             "model_id": self.model_id,
             "error": self.error,
@@ -118,6 +114,9 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobRecord":
+        """Read a record; older records carry stage lists instead of
+        ``noise_drawn``, and any computed stage in them means noise was
+        drawn."""
         return cls(
             job_id=str(payload["job_id"]),
             dataset_id=str(payload["dataset_id"]),
@@ -126,12 +125,13 @@ class JobRecord:
             k=float(payload["k"]),
             seed=int(payload["seed"]),
             state=str(payload.get("state", "queued")),
-            charged=bool(payload.get("charged", False)),
             attempts=int(payload.get("attempts", 0)),
-            stages_done=[str(s) for s in payload.get("stages_done", [])],
-            stage_computed={
-                str(k): int(v) for k, v in payload.get("stage_computed", {}).items()
-            },
+            noise_drawn=bool(
+                payload.get("noise_drawn")
+                or payload.get("stages_done")
+                or payload.get("stage_computed")
+            ),
+            refund_due=bool(payload.get("refund_due", False)),
             cancel_requested=bool(payload.get("cancel_requested", False)),
             model_id=payload.get("model_id"),
             error=payload.get("error"),
@@ -170,9 +170,6 @@ class JobJournal:
 
     def _record_path(self, job_id: str) -> Path:
         return self.directory / f"{job_id}.json"
-
-    def _stage_path(self, job_id: str, stage: str) -> Path:
-        return self.directory / f"{job_id}.{stage}.npz"
 
     # -- lifecycle records ------------------------------------------------
 
@@ -219,13 +216,6 @@ class JobJournal:
                 attempts=record.attempts + 1,
                 started_at=time.time(),
             )
-
-    def mark_stage_computed(self, job_id: str, stage: str) -> JobRecord:
-        """Count a stage *computation* (checkpoint loads don't count)."""
-        with self._locked():
-            record = self.load(job_id)
-            record.stage_computed[stage] = record.stage_computed.get(stage, 0) + 1
-            return self._save(record)
 
     def _save(self, record: JobRecord, **fields: Any) -> JobRecord:
         for name, value in fields.items():
@@ -289,60 +279,6 @@ class JobJournal:
                 finished_at=time.time(),
             )
         return self._save(record, **fields)
-
-    def cancel_requested(self, job_id: str) -> bool:
-        try:
-            return self.load(job_id).cancel_requested
-        except KeyError:
-            return False
-
-    # -- stage checkpoints ------------------------------------------------
-
-    def save_stage(self, job_id: str, stage: str, arrays: Dict[str, np.ndarray]) -> None:
-        """Persist a stage's output arrays as an atomic NPZ checkpoint.
-
-        The serialized payload passes through the ``journal.save_stage``
-        fault point, so the chaos suite can simulate a torn write; a
-        torn checkpoint is detected by :meth:`load_stage` and treated
-        as absent.
-        """
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        payload = faults.corrupt_bytes("journal.save_stage", buffer.getvalue())
-        atomic_write_bytes(self._stage_path(job_id, stage), payload)
-
-    def load_stage(self, job_id: str, stage: str) -> Optional[Dict[str, np.ndarray]]:
-        """A stage's checkpoint arrays, or ``None`` if absent/corrupt."""
-        path = self._stage_path(job_id, stage)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                return {name: archive[name] for name in archive.files}
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            _logger.warning(
-                "discarding corrupt stage checkpoint",
-                extra={"path": str(path), "error": f"{type(exc).__name__}: {exc}"},
-            )
-            return None
-
-    def has_stage_checkpoints(self, job_id: str) -> bool:
-        """Whether any persisted stage checkpoint exists for ``job_id``.
-
-        Used by the refund guard: a stage NPZ on disk is a durable DP
-        release even if the lifecycle record never got to mention it
-        (e.g. a crash tore the record update), so its presence must
-        veto a refund regardless of what the record claims.
-        """
-        return any(self.directory.glob(f"{job_id}.*.npz"))
-
-    def drop_stages(self, job_id: str) -> None:
-        """Delete a finished job's checkpoints (the model supersedes them)."""
-        for path in self.directory.glob(f"{job_id}.*.npz"):
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     # -- recovery ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ Resilience semantics (see docs/RELIABILITY.md):
   ``key`` (compared as ``str(key)``); an entry whose key is already
   journaled is a no-op.  The ledger itself is the deduplication source
   of truth, so a retried fit (worker crash, registry hiccup) can
-  re-issue its charge safely and a restarted service can resume a
+  re-issue its charge safely and a restarted service can rerun a
   journaled job without double-charging.
 * **Refunds** — negative entries (``"kind": "refund"``) exist for
   exactly one case: a fit that failed *before drawing any noise*.  In
@@ -296,6 +296,12 @@ class PrivacyAccountant:
             self._maybe_refresh_locked()
             return self._ledger.can_charge(dataset_id, epsilon)
 
+    def journaled(self, key: str) -> bool:
+        """Whether the ledger holds an entry under idempotency ``key``."""
+        with self._lock:
+            self._maybe_refresh_locked()
+            return self._ledger.has_key(key)
+
     def charge(
         self,
         dataset_id: str,
@@ -327,12 +333,11 @@ class PrivacyAccountant:
         """Return ``epsilon`` to ``dataset_id`` and journal the refund.
 
         **Only safe before any noise was drawn.**  The service issues a
-        refund solely when a charged fit failed while the synthesizer's
-        ``privacy_touched_`` flag was still ``False`` and the job
-        journal records no computed stage — i.e. no DP mechanism ever
-        saw the data under this charge, so the privacy loss is
-        provably zero (docs/RELIABILITY.md states the argument).  Like
-        :meth:`charge`, refunds are idempotent under ``key``.
+        refund solely for a charged fit that ended before its job record
+        carried the noise mark, which is journaled before the first
+        mechanism sees the data, so the privacy loss is provably zero
+        (docs/RELIABILITY.md states the argument).  Like :meth:`charge`,
+        refunds are idempotent under ``key``.
         """
         return self._journal("refund", dataset_id, epsilon, label, key)
 

@@ -17,11 +17,14 @@ reached, while sampling a registered model is pure post-processing
 safe to serve concurrently.
 
 Resilience (docs/RELIABILITY.md): every fit job is journaled durably
-(:class:`~repro.resilience.journal.JobJournal`), charged idempotently
-(the ledger deduplicates by job id, so retries and restarts can never
-double-charge), checkpointed per stage, and recovered on startup —
-interrupted jobs resume from their checkpoints and draw bitwise the
-noise an uninterrupted run would have drawn.
+(:class:`~repro.resilience.journal.JobJournal`) and follows one
+protocol: charge (idempotent under the job id, so retries and restarts
+never double-charge) → a durable noise mark in the job record → the
+mechanisms → ``registry.put`` → the terminal write.  A fit that fails
+before the mark is journaled terminal with its refund due, and only
+then refunded.  On startup, due refunds are completed and interrupted
+jobs rerun from scratch with their journaled seed, so a release is
+bitwise the library's fit for that seed and costs one charge.
 
 Pre-fork fleets (docs/SERVICE.md): when the config carries a
 ``worker_index``, exactly worker 0 — the **fit owner** — runs the fit
@@ -56,7 +59,12 @@ from repro.service.errors import (
     ValidationError,
 )
 from repro.parallel import ExecutionContext
-from repro.service.jobs import FitCheckpoint, FitWorker, job_document
+from repro.service.jobs import (
+    FitCheckpoint,
+    FitWorker,
+    job_document,
+    mark_refund_due,
+)
 from repro.service.registry import ModelRegistry
 from repro.service.serializers import dataset_summary, dataset_to_rows
 from repro.telemetry import (
@@ -190,6 +198,7 @@ class SynthesisService:
                 max_workers=config.fit_workers,
                 max_queue=config.max_queued_fits,
                 job_timeout=config.fit_timeout_seconds,
+                refund=self._refund,
             )
             self._recover_jobs()
             if config.multi_worker:
@@ -313,9 +322,9 @@ class SynthesisService:
                 f"{self.accountant.epsilon_cap:.6g}"
             )
         if seed is None:
-            # Resolve the seed *now* so it can be journaled: a resumed
-            # or retried attempt must replay the exact same RNG streams
-            # to release bitwise the same model for the same charge.
+            # Resolve the seed *now* so it can be journaled: a rerun
+            # after a crash must draw the exact same noise to release
+            # bitwise the same model for the same charge.
             seed = int.from_bytes(os.urandom(8), "big")
         record = JobRecord(
             job_id=FitWorker.new_job_id(),
@@ -356,13 +365,18 @@ class SynthesisService:
         return job_document(record)
 
     def _recover_jobs(self) -> None:
-        """Re-enqueue journaled jobs a previous process left unfinished.
+        """Settle what a previous process left unfinished.
 
-        Jobs found ``queued`` or ``running`` are put back on the queue;
-        their fits resume from stage checkpoints and their charges are
-        deduplicated by the ledger, so recovery costs no extra ε.  Jobs
-        whose dataset has vanished are explicitly ``voided``.
+        Every refund a terminal record says is due is completed first
+        (a no-op once the ledger holds it).  Jobs found ``queued`` or
+        ``running`` are put back on the queue and rerun from scratch;
+        their charges are deduplicated by the ledger, so recovery costs
+        no extra ε.  Jobs whose dataset has vanished are explicitly
+        ``voided``.
         """
+        for record in self.journal.list():
+            if record.finished and record.refund_due:
+                self._refund(record)
         for record in self.journal.recoverable():
             if record.dataset_id not in self.datasets:
                 self.journal.void(
@@ -378,7 +392,7 @@ class SynthesisService:
                 extra={
                     "job_id": record.job_id,
                     "dataset": record.dataset_id,
-                    "stages_done": record.stages_done,
+                    "noise_drawn": record.noise_drawn,
                 },
             )
 
@@ -430,11 +444,12 @@ class SynthesisService:
         ``inspect --json``) can always answer *how was this released
         model produced?*
 
-        The method is a *resumable* unit of work: every effect is
-        idempotent keyed by the job id (ledger charge, stage
-        checkpoints, the deterministic ``m-<job_id>`` model id), so the
-        worker — or a restarted service — can safely run it again after
-        any interruption.
+        The fit is the library's fit for the job's seed, plus the noise
+        mark :class:`~repro.service.jobs.FitCheckpoint` journals before
+        the first mechanism runs.  Every effect is idempotent keyed by
+        the job id (the ledger charge, the deterministic ``m-<job_id>``
+        model id), so a restarted service can rerun a job that was
+        interrupted anywhere before its terminal write.
         """
         # Crash-after-register recovery: if a previous attempt got as
         # far as registering the model, the release already happened
@@ -472,12 +487,22 @@ class SynthesisService:
         )
         started = time.perf_counter()
         try:
+            if self.accountant.journaled(f"refund:{job.job_id}"):
+                # Only a release that refunded before its terminal write
+                # and crashed in between leaves this: the refund stands,
+                # so the job must never draw noise.
+                raise RuntimeError(
+                    f"fit job {job.job_id!r} was refunded; it draws no noise"
+                )
             with trace.trace_root("service.fit", method=job.method) as profile:
                 synthesizer.fit(
                     dataset, checkpoint=FitCheckpoint(self.journal, job.job_id)
                 )
-        except BaseException as exc:
-            self._maybe_refund(job, synthesizer, exc)
+        except Exception as exc:
+            # The ε is charged.  It is owed back iff no attempt of this
+            # job ever journaled the noise mark.
+            if not self.journal.load(job.job_id).noise_drawn:
+                mark_refund_due(exc)
             raise
         fit_seconds = time.perf_counter() - started
         _FIT_SECONDS.observe(fit_seconds, method=job.method)
@@ -503,53 +528,36 @@ class SynthesisService:
         )
         return record.model_id
 
-    def _maybe_refund(self, job: JobRecord, synthesizer, exc: BaseException) -> None:
-        """Refund the job's charge iff no noise was ever drawn for it.
+    def _refund(self, record: JobRecord) -> None:
+        """Append a refund-due job's refund to the ledger (idempotent).
 
-        The provably-safe window: ``privacy_touched_`` is still False
-        (this attempt ran no DP mechanism), the journal records no
-        stage as ever computed (no earlier attempt did either), *and*
-        no stage checkpoint survives on disk (no earlier attempt left a
-        durable release the journal failed to record).  Inside it the
-        data never influenced any releasable value, so the charge
-        corresponds to zero privacy loss.  Outside it — even for a
-        failed fit — the noise exists and the ε is genuinely spent;
-        refunding would be a privacy violation, so we never do.
+        Called by the fit worker right after the terminal write that
+        set ``refund_due``, and again by startup recovery for every such
+        record, so a refund cut short by a crash completes at the next
+        start.
         """
-        if getattr(synthesizer, "privacy_touched_", True):
-            return
-        record = self.journal.load(job.job_id)
-        if record.stages_done or record.stage_computed:
-            return
-        if self.journal.has_stage_checkpoints(job.job_id):
-            # A persisted stage NPZ is a durable DP release even when
-            # the lifecycle record never recorded the stage (a crash
-            # can tear the record update, or delete the record while
-            # checkpoints linger).  Noise exists on disk, so the ε is
-            # spent: never refund.
-            return
         try:
             refunded = self.accountant.refund(
-                job.dataset_id,
-                job.epsilon,
-                label=f"refund:{job.method}:{job.job_id}",
-                key=f"refund:{job.job_id}",
+                record.dataset_id,
+                record.epsilon,
+                label=f"refund:{record.method}:{record.job_id}",
+                key=f"refund:{record.job_id}",
             )
         except OSError:
             _logger.exception(
-                "refund failed; epsilon remains charged",
-                extra={"job_id": job.job_id, "dataset": job.dataset_id},
+                "refund failed; it completes at the next start",
+                extra={"job_id": record.job_id, "dataset": record.dataset_id},
             )
             return
         if refunded:
             _EPS_REFUNDED.inc(refunded)
             _logger.info(
-                "epsilon refunded: fit failed before any noise was drawn",
+                "epsilon refunded: fit ended before any noise was drawn",
                 extra={
-                    "job_id": job.job_id,
-                    "dataset": job.dataset_id,
-                    "epsilon": job.epsilon,
-                    "cause": f"{type(exc).__name__}: {exc}",
+                    "job_id": record.job_id,
+                    "dataset": record.dataset_id,
+                    "epsilon": record.epsilon,
+                    "cause": record.error,
                 },
             )
 

@@ -8,7 +8,7 @@ Everything the service persists lives under one data directory::
         models/<id>.npz        released DPCopula models (versioned NPZ)
         models/<id>.json       model metadata sidecars
         jobs/<id>.json         durable fit-job journal records
-        jobs/<id>.<stage>.npz  fit stage checkpoints (resume-after-crash)
+        jobs/.lock             the journal's inter-process lock
         ledger.jsonl           append-only privacy-spend journal
         traces/trace-*.jsonl   per-worker trace-export ring files
         observatory/           utility-probe results

@@ -54,8 +54,9 @@ class QueueFullError(ServiceError):
 class JobCancelledError(ServiceError):
     """A fit job stopped because its cancellation flag was set (409).
 
-    Raised cooperatively at stage boundaries by the checkpoint the job
-    journal hands to ``fit()``; the worker maps it to the terminal
+    Raised cooperatively at stage boundaries by the
+    :class:`~repro.service.jobs.FitCheckpoint` stage hook the service
+    hands to ``fit()``; the worker maps it to the terminal
     ``cancelled`` state rather than ``failed``.
     """
 

@@ -28,8 +28,14 @@ Resilience (see docs/RELIABILITY.md):
   :class:`~repro.resilience.journal.JobRecord`: the worker queues job
   ids whose records are already journaled and writes each transition,
   with its timestamp, as one atomic journal write.  A restarted service
-  re-enqueues interrupted jobs and resumes their fits from per-stage
-  checkpoints via :class:`FitCheckpoint`.
+  re-enqueues interrupted jobs, which rerun from scratch with their
+  journaled seed.
+* :class:`FitCheckpoint` is the stage hook a service fit runs at each
+  stage boundary.  Its first call journals the job's noise mark, before
+  the first mechanism sees the data.
+* A failure raised through :func:`mark_refund_due` (the service's: a
+  charged job that failed before that mark) is journaled terminal with
+  ``refund_due`` set, and only then handed to the ``refund`` hook.
 * Jobs run under an optional wall-clock deadline (``job_timeout``),
   enforced cooperatively at fit-stage and parallel-task boundaries.
 * Cancellation is cooperative too: the journal cancels a queued job
@@ -45,14 +51,12 @@ import time
 import uuid
 from typing import Any, Callable, Dict, Optional, Set
 
-import numpy as np
-
 from repro.resilience.deadlines import Deadline, DeadlineExceeded, deadline_scope
 from repro.resilience.journal import JobJournal, JobRecord
 from repro.service.errors import JobCancelledError, QueueFullError
 from repro.telemetry import bind_context, get_logger, metrics
 
-__all__ = ["FitCheckpoint", "FitWorker", "job_document"]
+__all__ = ["FitCheckpoint", "FitWorker", "job_document", "mark_refund_due"]
 
 _logger = get_logger("service.jobs")
 
@@ -96,48 +100,47 @@ def job_document(record: JobRecord) -> Dict[str, Any]:
     }
 
 
-class FitCheckpoint:
-    """Journal-backed stage checkpoint store handed to ``fit()``.
+#: Set on an exception by :func:`mark_refund_due`.
+_REFUND_DUE_ATTR = "_dpcopula_refund_due"
 
-    Adapts the :class:`~repro.resilience.journal.JobJournal` to the
-    duck-typed ``load(stage)``/``save(stage, arrays)`` interface of
-    :meth:`repro.core.dpcopula.DPCopulaSynthesizer.fit`, and doubles as
-    the cooperative-cancellation poll point: every ``load`` (called at
-    each stage boundary) checks the journal's cancel flag first and
-    raises :class:`~repro.service.errors.JobCancelledError` when set.
+
+def mark_refund_due(exc: BaseException) -> BaseException:
+    """Flag ``exc`` as the failure of a job whose charge is owed back.
+
+    The raiser vouches that the job's ε is charged and that no noise was
+    drawn for it.  :class:`FitWorker` journals ``refund_due`` with the
+    job's terminal state, then hands the record to its ``refund`` hook.
+    """
+    setattr(exc, _REFUND_DUE_ATTR, True)
+    return exc
+
+
+class FitCheckpoint:
+    """The stage hook a service fit hands to ``fit()``.
+
+    :meth:`repro.core.dpcopula.DPCopulaSynthesizer.fit` calls
+    :meth:`save` at each stage boundary, before the stage's mechanism
+    sees the data.  Every call is a cooperative-cancellation poll point;
+    the first one also journals the job's noise mark.
     """
 
     def __init__(self, journal: JobJournal, job_id: str):
         self.journal = journal
         self.job_id = job_id
 
-    def load(self, stage: str) -> Optional[Dict[str, np.ndarray]]:
-        if self.journal.cancel_requested(self.job_id):
+    def save(self, stage: str) -> None:
+        """Stop here if cancelled; otherwise mark noise as drawn, once.
+
+        The mark is durable before this returns, so no mechanism ever
+        runs for a job whose record could still be refunded.
+        """
+        record = self.journal.load(self.job_id)
+        if record.cancel_requested:
             raise JobCancelledError(
                 f"fit job {self.job_id!r} cancelled before stage {stage!r}"
             )
-        arrays = self.journal.load_stage(self.job_id, stage)
-        if arrays is not None:
-            _logger.info(
-                "fit stage restored from checkpoint",
-                extra={"job_id": self.job_id, "stage": stage},
-            )
-        return arrays
-
-    def save(self, stage: str, arrays: Dict[str, np.ndarray]) -> None:
-        # Journal the computation BEFORE persisting the noise-bearing
-        # checkpoint.  A crash between the two then leaves a journal
-        # that over-claims (stage marked computed, no checkpoint) —
-        # which only blocks a refund and recomputes the stage bitwise
-        # from its seed.  The opposite order would leave a durable DP
-        # release on disk that the refund guard cannot see.
-        self.journal.mark_stage_computed(self.job_id, stage)
-        self.journal.save_stage(self.job_id, stage, arrays)
-        record = self.journal.load(self.job_id)
-        if stage not in record.stages_done:
-            self.journal.update(
-                self.job_id, stages_done=record.stages_done + [stage]
-            )
+        if not record.noise_drawn:
+            self.journal.update(self.job_id, noise_drawn=True)
 
 
 class FitWorker:
@@ -163,6 +166,11 @@ class FitWorker:
         Per-job wall-clock deadline in seconds, installed around the
         runner with :func:`~repro.resilience.deadlines.deadline_scope`.
         ``None`` means unlimited.
+    refund:
+        Called with the terminal record of every job whose failure was
+        raised through :func:`mark_refund_due`, after that record is
+        journaled.  Must be idempotent: startup recovery calls it again
+        for every record with ``refund_due`` set.
     """
 
     _STOP = object()
@@ -174,6 +182,7 @@ class FitWorker:
         max_workers: int = 1,
         max_queue: Optional[int] = None,
         job_timeout: Optional[float] = None,
+        refund: Optional[Callable[[JobRecord], None]] = None,
     ):
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -184,8 +193,11 @@ class FitWorker:
         self.max_workers = int(max_workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.job_timeout = job_timeout
+        self._refund = refund
         self._queue: "queue.Queue" = queue.Queue()
         self._accepted: Set[str] = set()
+        # Jobs between their terminal write and the end of their refund.
+        self._settling: Set[str] = set()
         self._lock = threading.Lock()
         self._skip_pending = False
         self._threads = [
@@ -265,15 +277,16 @@ class FitWorker:
             return job_id in self._accepted
 
     def wait(self, job_id: str, timeout: float = 60.0, poll: float = 0.02) -> JobRecord:
-        """Block until ``job_id``'s journal record is terminal; return it.
+        """Block until ``job_id`` is settled; return its terminal record.
 
-        A test/CLI convenience; raises ``KeyError`` for a job the
-        journal does not hold.
+        Settled means terminal and, when a refund was due, refunded.  A
+        test/CLI convenience; raises ``KeyError`` for a job the journal
+        does not hold.
         """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             record = self.journal.load(job_id)
-            if record.finished:
+            if record.finished and job_id not in self._settling:
                 return record
             time.sleep(poll)
         raise TimeoutError(f"fit job {job_id!r} did not finish in {timeout}s")
@@ -334,10 +347,13 @@ class FitWorker:
                 self._run(job)
 
     def _run(self, job: JobRecord) -> None:
-        """Run a started job and journal its terminal transition.
+        """Run a started job, journal its terminal transition, then refund.
 
-        Counters, logs and checkpoint cleanup come first, so a reader
-        who sees the terminal record sees a job whose work is complete.
+        Counters and logs come first, so a reader who sees the terminal
+        record sees a job whose work is complete.  A refund is appended
+        only after the terminal record that says it is due: a crash in
+        between leaves the ε charged until startup recovery refunds it,
+        and the job is never rerun.
         """
         _logger.info(
             "fit job started",
@@ -345,35 +361,10 @@ class FitWorker:
         )
         try:
             model_id = self._run_job(job)
-        except JobCancelledError as exc:
-            outcome: Dict[str, Any] = {"state": "cancelled", "error": str(exc)}
-            _logger.info(
-                "fit job cancelled",
-                extra={"dataset": job.dataset_id, "method": job.method},
-            )
-        except DeadlineExceeded as exc:
-            outcome = {"state": "failed", "error": f"DeadlineExceeded: {exc}"}
-            _FIT_ERRORS.inc(stage="deadline")
-            _logger.warning(
-                "fit job exceeded its deadline",
-                extra={
-                    "dataset": job.dataset_id,
-                    "method": job.method,
-                    "timeout": self.job_timeout,
-                },
-            )
         except Exception as exc:
-            # The job record keeps the one-line summary for API clients;
-            # the log carries the full traceback the summary swallows.
-            outcome = {"state": "failed", "error": f"{type(exc).__name__}: {exc}"}
-            _FIT_ERRORS.inc(stage="fit_job")
-            _logger.exception(
-                "fit job failed",
-                extra={"dataset": job.dataset_id, "method": job.method},
-            )
+            outcome = self._failure(job, exc)
         else:
             outcome = {"state": "done", "model_id": model_id}
-            self.journal.drop_stages(job.job_id)
             _logger.info(
                 "fit job done",
                 extra={
@@ -384,9 +375,38 @@ class FitWorker:
                 },
             )
         _JOBS_TOTAL.inc(status=outcome["state"])
+        self._settling.add(job.job_id)
         try:
-            self.journal.update(job.job_id, finished_at=time.time(), **outcome)
+            record = self.journal.update(
+                job.job_id, finished_at=time.time(), **outcome
+            )
+            if record.refund_due and self._refund is not None:
+                self._refund(record)
         except OSError:
             # The job stays at its last durable state (running) until
             # startup recovery settles it.
             _logger.exception("journal update failed", extra={"job_id": job.job_id})
+        finally:
+            self._settling.discard(job.job_id)
+
+    def _failure(self, job: JobRecord, exc: Exception) -> Dict[str, Any]:
+        """The terminal fields of a job whose runner raised ``exc``."""
+        extra = {"dataset": job.dataset_id, "method": job.method}
+        if isinstance(exc, JobCancelledError):
+            outcome: Dict[str, Any] = {"state": "cancelled", "error": str(exc)}
+            _logger.info("fit job cancelled", extra=extra)
+        elif isinstance(exc, DeadlineExceeded):
+            outcome = {"state": "failed", "error": f"DeadlineExceeded: {exc}"}
+            _FIT_ERRORS.inc(stage="deadline")
+            _logger.warning(
+                "fit job exceeded its deadline",
+                extra={**extra, "timeout": self.job_timeout},
+            )
+        else:
+            # The job record keeps the one-line summary for API clients;
+            # the log carries the full traceback the summary swallows.
+            outcome = {"state": "failed", "error": f"{type(exc).__name__}: {exc}"}
+            _FIT_ERRORS.inc(stage="fit_job")
+            _logger.exception("fit job failed", extra=extra)
+        outcome["refund_due"] = getattr(exc, _REFUND_DUE_ATTR, False)
+        return outcome

@@ -37,7 +37,10 @@ The supervisor watches worker processes and respawns crashed ones with
 a capped exponential backoff (a worker that lived a while resets its
 backoff).  ``SIGTERM`` to the supervisor fans out to every worker; each
 worker stops accepting, finishes its in-flight requests and exits —
-queued fit jobs stay journaled for the next start.
+queued fit jobs stay journaled for the next start.  A worker whose
+supervisor died without that fan-out (``SIGKILL``) notices that it was
+re-parented and drains the same way, so no orphaned fit owner keeps
+running fits beside a restarted fleet.
 """
 
 from __future__ import annotations
@@ -119,12 +122,14 @@ def _worker_main(
     reuse_port: bool,
     listen_socket: Optional[socket.socket],
     ready_queue,
+    supervisor_pid: int,
 ) -> None:
     """Entry point of one forked worker process.
 
     Builds its own service + server, announces readiness, and serves
-    until SIGTERM — which drains: stop accepting, finish in-flight
-    requests, close the service (queued fits stay journaled).
+    until SIGTERM, or until its parent is no longer ``supervisor_pid``.
+    Either drains: stop accepting, finish in-flight requests, close the
+    service (queued fits stay journaled).
     """
     # Imported here, not at module top: the supervisor process should
     # stay lean and never construct service state of its own.
@@ -142,9 +147,18 @@ def _worker_main(
         worker_label=str(worker_index),
     )
 
-    def _drain(signum, frame):  # pragma: no cover - signal delivery timing
+    def _drain(signum=None, frame=None):
         threading.Thread(target=server.shutdown, daemon=True).start()
 
+    def _drain_if_orphaned():
+        # serve_forever calls this after every poll and request.  A
+        # SIGKILLed supervisor sends no SIGTERM, but its workers are
+        # re-parented.  A second drain before the loop exits is
+        # harmless: shutdown() only sets a flag and waits.
+        if os.getppid() != supervisor_pid:
+            _drain()
+
+    server.service_actions = _drain_if_orphaned
     signal.signal(signal.SIGTERM, _drain)
     # The supervisor coordinates interactive shutdown; a Ctrl-C hits
     # the whole process group, so workers defer to the SIGTERM fan-out.
@@ -254,6 +268,7 @@ class PreforkServer:
                 self.reuse_port,
                 self._listen_socket,
                 self._ready_queue,
+                os.getpid(),
             ),
             name=f"dpcopula-worker-{index}",
         )

@@ -130,10 +130,13 @@ def interprocess_lock(lock_path: Path) -> Iterator[None]:
 
     Serializes a critical section across *processes*; pair it with a
     ``threading`` lock for this process's threads.  Not reentrant.
-    Closing the descriptor releases the lock, so a crashed holder can
-    never wedge its siblings.  No-op where ``fcntl`` does not exist
-    (non-POSIX): there the service is single-process only, matching
-    the pre-fork server's platform support.
+    Leaving the block unlocks explicitly: a flock belongs to the open
+    file description, which a child forked inside the block shares, so
+    closing this process's descriptor alone would leave the lock held
+    until that child exits.  A crashed holder's descriptors close with
+    it, so it can never wedge its siblings.  No-op where ``fcntl`` does
+    not exist (non-POSIX): there the service is single-process only,
+    matching the pre-fork server's platform support.
     """
     if fcntl is None:  # pragma: no cover - non-POSIX
         yield
@@ -142,6 +145,9 @@ def interprocess_lock(lock_path: Path) -> Iterator[None]:
     fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
+        try:
+            yield
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)

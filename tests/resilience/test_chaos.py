@@ -9,17 +9,28 @@ detail of the failure itself.
 
 from __future__ import annotations
 
+import io
 import json
+import multiprocessing
+import os
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.dpcopula import DPCopulaKendall
+from repro.dp.budget import parse_ledger_line
+from repro.io import ReleasedModel
 from repro.parallel import ExecutionContext
 from repro.resilience import faults
+from repro.resilience.journal import JobJournal, JobRecord
 from repro.service import ServiceConfig, SynthesisService, build_server
+from repro.service import registry as registry_module
+from repro.service.accountant import PrivacyAccountant, budget_overview, replay_ledger
 
 
 def _square(task, shared):
@@ -99,7 +110,7 @@ class TestRestartResume:
         finally:
             control.close()
 
-        # Chaos: die after the margins stage checkpointed, then restart.
+        # Chaos: fail after the margins drew their noise, then restart.
         faults.configure("fit.correlation:raise::1")
         service = _service(tmp_path / "data")
         try:
@@ -117,9 +128,7 @@ class TestRestartResume:
         try:
             assert revived.worker.wait(job_id).state == "done"
             record = revived.journal.load(job_id)
-            # Margins were computed by the first attempt only; resume
-            # restored them from the checkpoint.
-            assert record.stage_computed.get("margins") == 1
+            assert (record.noise_drawn, record.refund_due) == (True, False)
             # One charge total across both attempts.
             summary = revived.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.5)
@@ -129,7 +138,7 @@ class TestRestartResume:
                 if entry.get("key") == f"fit:{job_id}"
             ]
             assert len(charges) == 1
-            # The resumed release is bitwise the uninterrupted release.
+            # The rerun release is bitwise the uninterrupted release.
             resumed_model = _model_arrays(
                 tmp_path / "data" / "models" / f"m-{job_id}.npz"
             )
@@ -146,7 +155,10 @@ class TestRefundWindow:
         service = _service(tmp_path / "data")
         try:
             submitted = _submit(service, service_csv)
-            assert service.worker.wait(submitted["job_id"]).state == "failed"
+            record = service.worker.wait(submitted["job_id"])
+            assert (record.state, record.noise_drawn, record.refund_due) == (
+                "failed", False, True
+            )
             summary = service.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.0)
             assert summary["epsilon_remaining"] == pytest.approx(3.0)
@@ -159,49 +171,171 @@ class TestRefundWindow:
         service = _service(tmp_path / "data")
         try:
             submitted = _submit(service, service_csv)
-            assert service.worker.wait(submitted["job_id"]).state == "failed"
+            record = service.worker.wait(submitted["job_id"])
+            assert (record.state, record.noise_drawn, record.refund_due) == (
+                "failed", True, False
+            )
             summary = service.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.5)
             assert [c["kind"] for c in summary["charges"]] == ["charge"]
         finally:
             service.close()
 
-    def test_orphaned_checkpoint_vetoes_the_refund(self, tmp_path, service_csv):
-        """Double-spend regression: a stage checkpoint the journal never
-        recorded (torn record write) must still block the refund.
+    def test_a_stage_era_record_with_computed_stages_is_never_refunded(
+        self, tmp_path, service_csv
+    ):
+        """A record written while fits kept stage checkpoints says noise
+        was drawn through its stage lists, not through ``noise_drawn``.
 
-        Attempt 1 checkpoints the margins, then dies at the correlation
-        stage.  We erase the journal's stage bookkeeping — emulating a
-        crash between persisting the NPZ and journaling it — and
-        restart.  The resumed fit restores the margins from the
-        checkpoint (so ``privacy_touched_`` stays False) and fails
-        again pre-noise; every *record*-based refund guard passes, yet
-        the noisy margins durably exist, so the ε must stay charged.
+        Attempt 1 draws the margins' noise, then fails.  The record is
+        rewritten as that older journal left it after a crash, with the
+        checkpoint it left beside it, and the service restarts.  The
+        rerun fails again before its own noise mark; the record's stage
+        lists alone must keep the ε charged.
         """
         faults.configure("fit.correlation:raise::1")
         service = _service(tmp_path / "data")
         try:
-            submitted = _submit(service, service_csv, seed=7)
-            job_id = submitted["job_id"]
+            job_id = _submit(service, service_csv, seed=7)["job_id"]
             assert service.worker.wait(job_id).state == "failed"
-            assert service.journal.has_stage_checkpoints(job_id)
-            # Emulate the torn journal write: checkpoint on disk, record
-            # claiming no stage was ever computed, job still in flight.
-            service.journal.update(
-                job_id, state="running", stages_done=[], stage_computed={}
-            )
         finally:
             service.close()
+        record_path = tmp_path / "data" / "jobs" / f"{job_id}.json"
+        payload = json.loads(record_path.read_text())
+        for field in ("noise_drawn", "refund_due"):
+            del payload[field]
+        payload.update(
+            state="running",
+            finished_at=None,
+            error=None,
+            charged=False,
+            stages_done=["margins"],
+            stage_computed={"margins": 1},
+        )
+        record_path.write_text(json.dumps(payload))
+        (record_path.parent / f"{job_id}.margins.npz").write_bytes(b"PK\x03\x04")
 
-        faults.configure("fit.correlation:raise::1")
+        faults.configure("fit.margins:raise::1")
         revived = _service(tmp_path / "data")
         try:
-            assert revived.worker.wait(job_id).state == "failed"
+            record = revived.worker.wait(job_id)
+            assert (record.state, record.noise_drawn, record.refund_due) == (
+                "failed", True, False
+            )
             summary = revived.accountant.summary("ds")
             assert summary["epsilon_spent"] == pytest.approx(0.5)
             assert [c["kind"] for c in summary["charges"]] == ["charge"]
         finally:
             revived.close()
+
+    def test_a_refund_cut_short_by_a_crash_never_releases_a_model(
+        self, tmp_path, service_csv
+    ):
+        """A service that appended ``refund:<job>`` and crashed before
+        journaling the job terminal left it ``running`` with its charge
+        and its refund both in the ledger.  Its charge is a known key, so
+        a rerun charges nothing; it must then release nothing either."""
+        faults.configure("fit.margins:raise::1")
+        service = _service(tmp_path / "data")
+        try:
+            job_id = _submit(service, service_csv)["job_id"]
+            assert service.worker.wait(job_id).state == "failed"
+            faults.configure(None)
+        finally:
+            service.close()
+        record_path = tmp_path / "data" / "jobs" / f"{job_id}.json"
+        payload = json.loads(record_path.read_text())
+        payload.pop("refund_due", None)
+        payload.update(state="running", finished_at=None, error=None)
+        record_path.write_text(json.dumps(payload))
+
+        revived = _service(tmp_path / "data")
+        try:
+            assert revived.worker.wait(job_id).state == "failed"
+            assert f"m-{job_id}" not in revived.registry
+            summary = revived.accountant.summary("ds")
+            assert summary["epsilon_spent"] == pytest.approx(0.0)
+            assert [c["kind"] for c in summary["charges"]] == ["charge", "refund"]
+        finally:
+            revived.close()
+
+    def test_jobs_that_never_charged_append_no_refund(
+        self, tmp_path, service_csv, monkeypatch
+    ):
+        # A refund under a job that holds no charge would take ε off
+        # the dataset's other charges and under-count its spend.
+        service = _service(tmp_path / "data")
+        try:
+            done = _submit(service, service_csv, seed=1)
+            assert service.worker.wait(done["job_id"]).state == "done"
+            # Refused at the worker: past the advisory submit-time
+            # check, the ledger's cap refuses the charge itself.
+            monkeypatch.setattr(service.accountant, "can_charge", lambda *a: True)
+            refused = _submit(service, service_csv, seed=2, epsilon=2.9)
+            refused_record = service.worker.wait(refused["job_id"])
+            assert refused_record.state == "failed"
+            assert "BudgetExhausted" in refused_record.error
+            # Failed before its charge: the dataset is gone.
+            ghost = JobRecord(
+                job_id="ghost", dataset_id="gone", method="kendall",
+                epsilon=0.5, k=8.0, seed=3,
+            )
+            service.journal.create(ghost)
+            service.worker.submit(ghost)
+            assert service.worker.wait("ghost").state == "failed"
+            for job_id in (refused["job_id"], "ghost"):
+                assert not service.journal.load(job_id).refund_due
+            summary = service.accountant.summary("ds")
+            assert summary["epsilon_spent"] == pytest.approx(0.5)
+            assert [c["kind"] for c in summary["charges"]] == ["charge"]
+        finally:
+            service.close()
+
+
+class TestCancelRunning:
+    def _cancel_when(self, service, job_id, ready):
+        deadline = time.monotonic() + 30.0
+        while not ready(service.journal.load(job_id)):
+            assert time.monotonic() < deadline, "the job never got there"
+            time.sleep(0.01)
+        service.cancel_job(job_id)
+
+    def test_cancelled_before_the_noise_mark_is_refunded(
+        self, tmp_path, service_csv
+    ):
+        faults.configure("fit.margins:delay:1.0:1")
+        service = _service(tmp_path / "data")
+        try:
+            job_id = _submit(service, service_csv)["job_id"]
+            self._cancel_when(service, job_id, lambda r: r.state == "running")
+            record = service.worker.wait(job_id)
+            assert (record.state, record.noise_drawn, record.refund_due) == (
+                "cancelled", False, True
+            )
+            summary = service.accountant.summary("ds")
+            assert summary["epsilon_spent"] == pytest.approx(0.0)
+            assert [c["kind"] for c in summary["charges"]] == ["charge", "refund"]
+        finally:
+            service.close()
+
+    def test_cancelled_after_the_noise_mark_keeps_its_charge(
+        self, tmp_path, service_csv
+    ):
+        faults.configure("fit.correlation:delay:1.0:1")
+        service = _service(tmp_path / "data")
+        try:
+            job_id = _submit(service, service_csv)["job_id"]
+            self._cancel_when(service, job_id, lambda r: r.noise_drawn)
+            record = service.worker.wait(job_id)
+            assert (record.state, record.noise_drawn, record.refund_due) == (
+                "cancelled", True, False
+            )
+            assert f"m-{job_id}" not in service.registry
+            summary = service.accountant.summary("ds")
+            assert summary["epsilon_spent"] == pytest.approx(0.5)
+            assert [c["kind"] for c in summary["charges"]] == ["charge"]
+        finally:
+            service.close()
 
 
 class TestLedgerRetry:
@@ -226,6 +360,188 @@ class TestLedgerRetry:
             assert len(charges) == 1
         finally:
             service.close()
+
+
+#: The durable writes of one fit, in protocol order, as
+#: :func:`_probe_writes` names them: a clean fit, and one that fails
+#: before its noise mark and is refunded.
+_FIT_WRITES = {
+    "clean": (
+        None,
+        (
+            "journal.queued",
+            "journal.running",
+            "ledger.charge",
+            "journal.noise_mark",
+            "registry.npz",
+            "registry.sidecar",
+            "journal.done",
+        ),
+    ),
+    "refunded": (
+        "fit.margins:raise::1",
+        (
+            "journal.queued",
+            "journal.running",
+            "ledger.charge",
+            "journal.failed",
+            "ledger.refund",
+        ),
+    ),
+}
+
+_CRASH_EXIT = 70
+
+
+def _probe_writes(patch, on_write):
+    """Route each durable write of a fit through ``on_write(name, write)``.
+
+    ``patch(owner, attribute, value)`` installs the probes (``setattr``
+    in a child that dies anyway, ``monkeypatch.setattr`` in process).
+    """
+    journal_write = JobJournal._write
+    registry_write = registry_module.atomic_write_bytes
+    ledger_append = PrivacyAccountant._append
+
+    def journal(self, record):
+        name = (
+            "journal.noise_mark"
+            if record.state == "running" and record.noise_drawn
+            else f"journal.{record.state}"
+        )
+        return on_write(name, lambda: journal_write(self, record))
+
+    def registry(path, payload):
+        name = "registry.npz" if Path(path).suffix == ".npz" else "registry.sidecar"
+        return on_write(name, lambda: registry_write(path, payload))
+
+    def ledger(self, line):
+        name = f"ledger.{parse_ledger_line(line).kind}"
+        return on_write(name, lambda: ledger_append(self, line))
+
+    patch(JobJournal, "_write", journal)
+    patch(registry_module, "atomic_write_bytes", registry)
+    patch(PrivacyAccountant, "_append", ledger)
+
+
+def _crash_child(root, csv_text, fault, crash_at, when):
+    """Run one fit on ``root``; ``os._exit`` at write ``crash_at``."""
+    writes = []
+
+    def on_write(name, write):
+        hit = len(writes) == crash_at
+        writes.append(name)
+        if hit and when == "before":
+            os._exit(_CRASH_EXIT)
+        result = write()
+        if hit and when == "after":
+            os._exit(_CRASH_EXIT)
+        return result
+
+    _probe_writes(setattr, on_write)
+    faults.configure(fault)
+    service = _service(root)
+    service.worker.wait(_submit(service, csv_text)["job_id"])
+    os._exit(0)
+
+
+def _library_release(dataset):
+    """The library's release for the seed and ε :func:`_submit` uses."""
+    synthesizer = DPCopulaKendall(0.5, rng=7).fit(dataset)
+    buffer = io.BytesIO()
+    ReleasedModel.from_synthesizer(synthesizer).save(buffer)
+    buffer.seek(0)
+    return _model_arrays(buffer)
+
+
+class TestCrashAtEveryDurableWrite:
+    """A fit process dies before or after each write its fit makes.
+
+    Restarting on the same data directory must leave the ledger equal to
+    what was released: one counted charge per model, no refund after a
+    noise mark, the library's release bitwise, and one reading of the
+    ledger.
+    """
+
+    @pytest.mark.parametrize("scenario", sorted(_FIT_WRITES))
+    def test_a_fit_makes_these_writes_in_this_order(
+        self, tmp_path, service_csv, monkeypatch, scenario
+    ):
+        fault, expected = _FIT_WRITES[scenario]
+        writes = []
+        _probe_writes(
+            monkeypatch.setattr, lambda name, write: writes.append(name) or write()
+        )
+        faults.configure(fault)
+        service = _service(tmp_path / "data")
+        try:
+            service.worker.wait(_submit(service, service_csv)["job_id"])
+        finally:
+            service.close()
+        assert tuple(writes) == expected
+
+    @pytest.mark.parametrize(
+        "scenario, index, when",
+        [
+            (scenario, index, when)
+            for scenario, (_, writes) in sorted(_FIT_WRITES.items())
+            for index in range(len(writes))
+            for when in ("before", "after")
+        ],
+    )
+    def test_restart_after_a_crash_settles_the_fit(
+        self, tmp_path, service_csv, scenario, index, when
+    ):
+        fault, writes = _FIT_WRITES[scenario]
+        root = tmp_path / "data"
+        # Forked from a single-threaded server, not from this process.
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        child = context.Process(
+            target=_crash_child, args=(root, service_csv, fault, index, when)
+        )
+        child.start()
+        child.join(120)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+        assert child.exitcode == _CRASH_EXIT, f"no crash {when} {writes[index]}"
+
+        revived = _service(root)
+        try:
+            records = [
+                revived.worker.wait(record.job_id)
+                for record in revived.journal.list()
+            ]
+            entries = replay_ledger(root / "ledger.jsonl")
+            keys = [entry.key for entry in entries]
+            models = {model["model_id"] for model in revived.list_models()}
+            for record in records:
+                charges = keys.count(f"fit:{record.job_id}")
+                refunds = keys.count(f"refund:{record.job_id}")
+                if f"m-{record.job_id}" in models:
+                    assert (record.state, charges, refunds) == ("done", 1, 0)
+                if record.noise_drawn:
+                    assert refunds == 0
+            # What the ledger says was spent is what was released.
+            assert revived.accountant.spent("ds") == pytest.approx(
+                0.5 * len(models)
+            )
+            if models:
+                control = _library_release(revived.datasets.get("ds"))
+            for model_id in models:
+                released = _model_arrays(root / "models" / f"{model_id}.npz")
+                assert set(released) == set(control)
+                for key, expected in control.items():
+                    assert np.array_equal(released[key], expected), key
+            # GET /budget's lock-free replay agrees with the accountant.
+            overview = budget_overview(root, revived.accountant.epsilon_cap)
+            for doc in overview["datasets"]:
+                assert doc["epsilon_spent"] == revived.accountant.spent(
+                    doc["dataset_id"]
+                )
+        finally:
+            revived.close()
 
 
 class _RawClient:

@@ -1,4 +1,4 @@
-"""The durable job journal: records, checkpoints, recovery."""
+"""The durable job journal: records, protocol marks, recovery."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import multiprocessing
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.resilience import faults
 from repro.resilience.journal import JobJournal, JobRecord
 
 
@@ -94,21 +92,25 @@ class TestLifecycleRecords:
         (journal.directory / "broken.json").write_text("{not json")
         assert [r.job_id for r in journal.list()] == ["job1"]
 
-    def test_mark_stage_computed_counts_computations(self, journal):
-        journal.create(_record())
-        journal.mark_stage_computed("job1", "margins")
-        journal.mark_stage_computed("job1", "margins")
-        assert journal.load("job1").stage_computed == {"margins": 2}
+    def test_noise_and_refund_marks_persist(self, journal):
+        created = journal.create(_record())
+        assert (created.noise_drawn, created.refund_due) == (False, False)
+        journal.update("job1", noise_drawn=True)
+        journal.update("job1", state="failed", refund_due=True)
+        reread = JobJournal(journal.directory).load("job1")
+        assert (reread.noise_drawn, reread.refund_due) == (True, True)
 
 
 class TestCancellation:
     def test_request_cancel_sets_flag(self, journal):
         journal.create(_record())
         journal.request_cancel("job1")
-        assert journal.cancel_requested("job1")
+        assert journal.load("job1").cancel_requested
 
-    def test_unknown_job_is_not_cancelled(self, journal):
-        assert not journal.cancel_requested("ghost")
+    def test_cancelling_an_unknown_job_raises(self, journal):
+        with pytest.raises(KeyError):
+            journal.request_cancel("ghost")
+        assert "ghost" not in journal
 
     def test_cancel_settles_a_queued_job_in_one_write(self, journal):
         journal.create(_record())
@@ -205,44 +207,64 @@ class TestCancellation:
                 assert (final.state, final.started_at) == ("cancelled", None)
 
 
-class TestStageCheckpoints:
-    def test_save_load_roundtrip(self, journal):
-        journal.create(_record())
-        arrays = {"margin_0": np.arange(5.0), "margin_1": np.ones(3)}
-        journal.save_stage("job1", "margins", arrays)
-        loaded = journal.load_stage("job1", "margins")
-        assert set(loaded) == set(arrays)
-        np.testing.assert_array_equal(loaded["margin_0"], arrays["margin_0"])
+def _stage_era_payload(**overrides):
+    """A record as the journal wrote it while fits kept stage checkpoints."""
+    payload = {
+        "job_id": "job1",
+        "dataset_id": "ds",
+        "method": "kendall",
+        "epsilon": 1.0,
+        "k": 8.0,
+        "seed": 42,
+        "state": "running",
+        "charged": False,
+        "attempts": 1,
+        "stages_done": [],
+        "stage_computed": {},
+        "cancel_requested": False,
+        "model_id": None,
+        "error": None,
+        "submitted_at": 1.0,
+        "started_at": 2.0,
+        "finished_at": None,
+        "updated_at": 2.0,
+    }
+    payload.update(overrides)
+    return payload
 
-    def test_absent_stage_is_none(self, journal):
-        assert journal.load_stage("job1", "margins") is None
 
-    def test_torn_checkpoint_is_treated_as_absent(self, journal):
-        journal.create(_record())
-        faults.configure("journal.save_stage:truncate:0.3")
-        journal.save_stage("job1", "margins", {"m": np.arange(10.0)})
-        faults.configure(None)
-        assert journal.load_stage("job1", "margins") is None
+class TestOlderRecords:
+    def test_a_stage_era_record_loads(self, journal):
+        (journal.directory / "job1.json").write_text(
+            json.dumps(_stage_era_payload())
+        )
+        record = journal.load("job1")
+        assert (record.state, record.attempts, record.seed) == ("running", 1, 42)
+        assert (record.noise_drawn, record.refund_due) == (False, False)
+        assert [r.job_id for r in journal.recoverable()] == ["job1"]
 
-    def test_has_stage_checkpoints_tracks_disk_state(self, journal):
-        journal.create(_record())
-        assert not journal.has_stage_checkpoints("job1")
-        journal.save_stage("job1", "margins", {"m": np.arange(3.0)})
-        # The lifecycle record says nothing about the stage, yet the
-        # checkpoint on disk must be visible: the refund guard keys off
-        # exactly this (a durable release the record failed to mention).
-        assert journal.load("job1").stage_computed == {}
-        assert journal.has_stage_checkpoints("job1")
-        journal.drop_stages("job1")
-        assert not journal.has_stage_checkpoints("job1")
+    @pytest.mark.parametrize(
+        "stages",
+        [{"stages_done": ["margins"]}, {"stage_computed": {"margins": 1}}],
+        ids=["stages_done", "stage_computed"],
+    )
+    def test_computed_stages_count_as_noise_drawn(self, journal, stages):
+        path = journal.directory / "job1.json"
+        path.write_text(json.dumps(_stage_era_payload(**stages)))
+        assert journal.load("job1").noise_drawn
+        # The next write keeps the mark in the field that now carries it.
+        journal.update("job1", state="queued")
+        payload = json.loads(path.read_text())
+        assert payload["noise_drawn"] is True
+        assert not {"charged", "stages_done", "stage_computed"} & set(payload)
 
-    def test_drop_stages_deletes_checkpoints(self, journal):
+    def test_leftover_stage_files_are_ignored(self, journal):
         journal.create(_record())
-        journal.save_stage("job1", "margins", {"m": np.arange(3.0)})
-        journal.save_stage("job1", "correlation", {"c": np.eye(2)})
-        journal.drop_stages("job1")
-        assert journal.load_stage("job1", "margins") is None
-        assert journal.load_stage("job1", "correlation") is None
+        (journal.directory / "job1.margins.npz").write_bytes(b"PK\x03\x04")
+        (journal.directory / "job1.correlation.npz").write_bytes(b"")
+        assert [r.job_id for r in journal.list()] == ["job1"]
+        assert [r.job_id for r in journal.recoverable()] == ["job1"]
+        assert not journal.load("job1").noise_drawn
 
 
 class TestRecovery:

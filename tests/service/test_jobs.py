@@ -14,7 +14,14 @@ from repro.service.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.service.jobs import FitCheckpoint, FitWorker, job_document
+from repro.core.dpcopula import DPCopulaKendall, DPCopulaMLE
+from repro.io import ReleasedModel
+from repro.service.jobs import (
+    FitCheckpoint,
+    FitWorker,
+    job_document,
+    mark_refund_due,
+)
 
 
 def _journaled(journal, job_id, **overrides):
@@ -167,38 +174,67 @@ class TestJobDocument:
 
 
 class TestFitCheckpoint:
-    def test_save_journals_the_stage_before_persisting_noise(
-        self, tmp_path, monkeypatch
-    ):
-        """A crash inside save() must never leave a noise-bearing
-        checkpoint that the journal knows nothing about — that is the
-        window where a later pre-noise failure would refund ε for noise
-        that durably exists.  The safe order is journal first: a crash
-        then leaves an over-claiming journal (refund blocked, stage
-        recomputed bitwise from its seed), never an unclaimed release.
-        """
+    @pytest.fixture
+    def running(self, tmp_path):
         journal = JobJournal(tmp_path / "jobs")
-        journal.create(
-            JobRecord(
-                job_id="j1",
-                dataset_id="ds",
-                method="kendall",
-                epsilon=1.0,
-                k=8.0,
-                seed=42,
-            )
-        )
+        _journaled(journal, "j1")
+        journal.start("j1")
+        return journal
+
+    def test_save_journals_the_noise_mark_once(self, running, monkeypatch):
+        """The first stage boundary writes the mark; later ones only read."""
+        writes = []
+        real_write = running._write
         monkeypatch.setattr(
-            journal,
-            "save_stage",
-            lambda *a, **k: (_ for _ in ()).throw(OSError("disk died")),
+            running, "_write", lambda record: writes.append(record) or real_write(record)
         )
-        checkpoint = FitCheckpoint(journal, "j1")
+        checkpoint = FitCheckpoint(running, "j1")
+        checkpoint.save("margins")
+        assert running.load("j1").noise_drawn
+        checkpoint.save("correlation")
+        FitCheckpoint(running, "j1").save("margins")  # a rerun's hook
+        assert [record.noise_drawn for record in writes] == [True]
+
+    def test_a_failed_mark_write_stops_the_fit_unmarked(self, running, monkeypatch):
+        """save() returns only once the mark is durable: if the write
+        fails, no mechanism runs and the record still allows a refund."""
+        monkeypatch.setattr(
+            running,
+            "_write",
+            lambda record: (_ for _ in ()).throw(OSError("disk died")),
+        )
         with pytest.raises(OSError):
-            checkpoint.save("margins", {"m": np.arange(3.0)})
-        record = journal.load("j1")
-        assert record.stage_computed.get("margins") == 1
-        assert not journal.has_stage_checkpoints("j1")
+            FitCheckpoint(running, "j1").save("margins")
+        assert not running.load("j1").noise_drawn
+
+    def test_save_polls_the_cancel_flag_before_marking(self, running):
+        running.request_cancel("j1")
+        with pytest.raises(JobCancelledError, match="before stage 'margins'"):
+            FitCheckpoint(running, "j1").save("margins")
+        assert not running.load("j1").noise_drawn
+
+
+class TestRefundHook:
+    @pytest.mark.parametrize("due", [True, False], ids=["due", "not-due"])
+    def test_refund_runs_after_the_terminal_write_that_makes_it_due(
+        self, journal, due
+    ):
+        seen = []
+
+        def runner(job):
+            exc = RuntimeError("boom")
+            raise mark_refund_due(exc) if due else exc
+
+        def refund(record):
+            # The terminal record is durable before the hook runs.
+            seen.append((record.job_id, journal.load(record.job_id).state))
+
+        worker = FitWorker(runner, journal, refund=refund)
+        worker.submit(_journaled(journal, "j"))
+        record = worker.wait("j", timeout=5.0)
+        worker.close()
+        assert (record.state, record.refund_due) == ("failed", due)
+        assert seen == ([("j", "failed")] if due else [])
 
 
 class TestPooledService:
@@ -317,6 +353,39 @@ class TestServiceCore:
         service.upload_dataset("demo", csv_text)
         with pytest.raises(BudgetRefusedError):
             service.submit_fit({"dataset_id": "demo", "epsilon": 99.0})
+
+    @pytest.mark.parametrize(
+        "method, library", [("kendall", DPCopulaKendall), ("mle", DPCopulaMLE)]
+    )
+    def test_service_fit_is_the_library_fit_for_its_seed(
+        self, service, csv_text, method, library
+    ):
+        service.upload_dataset("demo", csv_text)
+        job = service.submit_fit(
+            {"dataset_id": "demo", "method": method, "epsilon": 1.0, "k": 4.0,
+             "seed": 7}
+        )
+        done = service.worker.wait(job["job_id"], timeout=60.0)
+        assert done.state == "done", done.error
+        served = ReleasedModel.load(
+            service.config.models_dir / f"{done.model_id}.npz"
+        )
+        expected = ReleasedModel.from_synthesizer(
+            library(1.0, k=4.0, rng=7).fit(service.datasets.get("demo"))
+        )
+        np.testing.assert_array_equal(served.correlation, expected.correlation)
+        assert len(served.margin_counts) == len(expected.margin_counts)
+        for got, want in zip(served.margin_counts, expected.margin_counts):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_fit_leaves_only_its_record_in_the_journal(self, service, csv_text):
+        service.upload_dataset("demo", csv_text)
+        job = service.submit_fit({"dataset_id": "demo", "epsilon": 1.0, "seed": 0})
+        assert service.worker.wait(job["job_id"], timeout=60.0).state == "done"
+        assert sorted(p.name for p in service.config.jobs_dir.iterdir()) == [
+            ".lock",
+            f"{job['job_id']}.json",
+        ]
 
     def test_fit_to_sample_pipeline(self, service, csv_text):
         service.upload_dataset("demo", csv_text)

@@ -12,15 +12,19 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.dpcopula import DPCopulaKendall
 from repro.io import ReleasedModel
 from repro.service import (
@@ -65,6 +69,33 @@ def _sample(port, model_id, n, seed):
         port, "POST", f"/models/{model_id}/sample", {"n": n, "seed": seed}
     )
     return status, body, headers
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from ``/proc``, or ``None`` once reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 @pytest.fixture
@@ -321,6 +352,54 @@ class TestSupervision:
             np.testing.assert_array_equal(
                 np.asarray(body["records"], dtype=np.int64), serial
             )
+
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="finds worker pids under /proc"
+    )
+    def test_workers_exit_when_the_supervisor_is_sigkilled(self, tmp_path):
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("DPCOPULA_")
+        }
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        command = [
+            sys.executable, "-u", "-m", "repro", "serve", "--workers", "2",
+            "--port", "0", "--data-dir", str(tmp_path / "data"),
+        ]
+        supervisor = subprocess.Popen(
+            command,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        workers = []
+        try:
+            # Printed once every worker is serving.
+            line = supervisor.stdout.readline()
+            assert "listening on" in line, line
+            workers = _children(supervisor.pid)
+            assert len(workers) >= 2
+            supervisor.kill()
+            supervisor.wait(10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_running, workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            supervisor.kill()
+            supervisor.wait(10)
+            supervisor.stdout.close()
 
 
 class TestFollowerService:

@@ -7,7 +7,6 @@ from repro.parallel import (
     BACKENDS,
     ExecutionContext,
     resolve_context,
-    spawn_generators,
     spawn_seed_sequences,
 )
 
@@ -92,7 +91,7 @@ class TestSeedSpawning:
             )
 
     def test_children_are_independent(self):
-        gens = spawn_generators(0, 3)
+        gens = [np.random.default_rng(seq) for seq in spawn_seed_sequences(0, 3)]
         draws = [g.integers(0, 1 << 62) for g in gens]
         assert len(set(draws)) == 3
 

@@ -1,5 +1,7 @@
 """Tests for repro.utils."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.utils import (
     check_matrix_square,
     check_positive,
     check_probability,
+    interprocess_lock,
     pairs_count,
 )
 
@@ -80,3 +83,31 @@ class TestPairsCount:
     @pytest.mark.parametrize("m,expected", [(1, 0), (2, 1), (4, 6), (8, 28)])
     def test_binomial(self, m, expected):
         assert pairs_count(m) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestInterprocessLock:
+    def test_a_child_forked_inside_the_block_does_not_keep_the_lock(
+        self, tmp_path
+    ):
+        # The child shares the lock's open file description; it blocks
+        # on a pipe until the parent has checked the lock from outside.
+        fcntl = pytest.importorskip("fcntl")
+        lock_path = tmp_path / "x.lock"
+        release_read, release_write = os.pipe()
+        with interprocess_lock(lock_path):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child
+                os.read(release_read, 1)
+                os._exit(0)
+        try:
+            fd = os.open(lock_path, os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        finally:
+            os.write(release_write, b"x")
+            os.waitpid(pid, 0)
+            os.close(release_read)
+            os.close(release_write)

@@ -31,8 +31,16 @@ from repro.telemetry import trace
 from repro.utils import RngLike, as_generator, check_int_at_least, check_matrix_square
 
 
+#: Forward steps a guide-table lookup may take before the flat search.
+_GUIDE_STEPS = 3
+#: Batches of fewer cells take the flat search: in process, at 16
+#: columns, both ran 800 cells in 30 µs, and the table 1 600 in 37 µs
+#: against 88 µs.
+_GUIDE_MIN_CELLS = 1024
+
+
 class BatchedMarginInverter:
-    """All ``m`` inverse-CDF transforms in one ``searchsorted`` call.
+    """All ``m`` inverse-CDF transforms of an ``(n, m)`` batch at once.
 
     The library's only margin inverter: every sampler maps its uniforms
     onto the integer domains through it.
@@ -55,6 +63,39 @@ class BatchedMarginInverter:
     uniform draw lands that close to one of a margin's ``d`` CDF values
     with odds of about d·2⁻⁴⁸, so no release has shown it; sampling keeps
     this rounding, so seeded draws stay reproducible.
+
+    A call answers that flat search without running it for most cells,
+    through a guide table (Chen–Asau indexed search; Devroye 1986,
+    §III.2.4) built once, here, and so cached in every compiled plan.
+    Band ``j`` is cut into ``B_j`` equal buckets, ``B_j`` the smallest
+    power of two ≥ ``4 d_j``, and bucket ``b`` stores the flat search's
+    answer at its lower edge ``2j + b/B_j``.  A banded value ``x`` falls
+    in bucket ``⌊(x − 2j)·B_j⌋`` (the last bucket also takes
+    ``x = 2j + 1``), and both steps are exact: the subtraction by
+    Sterbenz's lemma, the product because ``B_j`` is a power of two.  So
+    the edge is at most ``x`` and the stored answer never overshoots.
+    Up to three forward steps, each taken while the CDF entry is below
+    ``x``, reach the flat search's answer; they pass the equal entries
+    of zero-mass runs, since a bucket holds a quarter of an entry on
+    average.  A cell still short after three, and NaN, which no entry
+    is at or above, goes to the flat search itself.  Each cell's bin is
+    therefore bitwise the flat search's, and depends only on that
+    cell's value and column, so a slice of a batch inverts as the whole
+    batch does.  A batch of fewer than 1 024 cells runs the flat search
+    directly: below that size the table saves nothing.
+
+    The table lives in banded space (its entries are flat-search answers
+    at banded edges, and the steps compare banded values with the
+    banded CDF) because that is what the flat search compares: values
+    after ``u + 2j`` has rounded.  A table over the unshifted CDFs,
+    searched with ``u`` itself, would return
+    :meth:`HistogramCDF.inverse`'s bin and drop the rounding above, so
+    seeded samples would change.  Thresholds in latent space (each CDF
+    value's normal quantile, compared with the latent draw so that the
+    normal CDF is skipped) were rejected too: :func:`scipy.special.ndtr`
+    is not monotone in floating point (``ndtr(-2.6954293662216915)``
+    exceeds ``ndtr(-2.695429366221691)``), so a latent comparison can
+    order a draw differently from its ``ndtr`` value.
     """
 
     def __init__(self, margins: Sequence[HistogramCDF]):
@@ -64,11 +105,27 @@ class BatchedMarginInverter:
         cdfs = [margin.cdf for margin in margins]
         sizes = np.array([cdf.size for cdf in cdfs], dtype=np.int64)
         self._bands = 2.0 * np.arange(len(margins))
-        self._flat = np.concatenate(
-            [cdf + band for cdf, band in zip(cdfs, self._bands)]
-        )
+        flat = np.concatenate([cdf + band for cdf, band in zip(cdfs, self._bands)])
+        # A finite value's forward steps stop at the first +inf pad; NaN
+        # takes every step and stays inside the pads.
+        self._padded = np.concatenate([flat, np.full(_GUIDE_STEPS + 1, np.inf)])
+        self._flat = self._padded[: flat.size]
         self._starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
         self._limits = sizes - 1
+        widths = [1 << (4 * int(size) - 1).bit_length() for size in sizes]
+        self._widths = np.array(widths, dtype=float)
+        self._last_buckets = self._widths - 1.0
+        self._guide_starts = np.cumsum([0] + widths[:-1])
+        # Each edge 2j + b/B_j is exact while B_j·2m stays below 2⁵².
+        edges = np.concatenate(
+            [band + np.arange(width) / width for band, width in zip(self._bands, widths)]
+        )
+        # Every plan the registry caches holds a table, so it is stored in
+        # the narrowest unsigned type that holds every index (2 bytes an
+        # entry below 65 536 CDF values).
+        self._guide = np.searchsorted(flat, edges, side="left").astype(
+            np.min_scalar_type(self._padded.size)
+        )
 
     @property
     def n_margins(self) -> int:
@@ -83,9 +140,36 @@ class BatchedMarginInverter:
                 f"shape {uniforms.shape}"
             )
         banded = np.clip(uniforms, 0.0, 1.0) + self._bands
-        flat_bins = np.searchsorted(self._flat, banded, side="left")
-        local = flat_bins - self._starts
-        return np.clip(local, 0, self._limits).astype(np.int64)
+        if banded.size < _GUIDE_MIN_CELLS:
+            bins = np.searchsorted(self._flat, banded, side="left")
+        else:
+            bins = self._guided_search(banded)
+        # A bin never falls below its band's start, so only the upper
+        # clip of HistogramCDF.inverse can bind (NaN's bin is past the end).
+        bins -= self._starts
+        return np.minimum(bins, self._limits, out=bins).astype(np.int64, copy=False)
+
+    def _guided_search(self, banded: np.ndarray) -> np.ndarray:
+        """The flat search's answer for every banded value, by guide table."""
+        buckets = banded - self._bands
+        buckets *= self._widths
+        # fmin puts x = 2j + 1, and NaN, in the last bucket.
+        np.fmin(buckets, self._last_buckets, out=buckets)
+        index = buckets.astype(np.intp)
+        index += self._guide_starts
+        bins = self._guide[index].astype(np.intp)
+        flat_bins = bins.reshape(-1)
+        values = banded.reshape(-1)
+        # Not `<`: NaN compares false either way and must stay behind.
+        behind = np.flatnonzero(~(self._padded[flat_bins] >= values))
+        for _ in range(_GUIDE_STEPS):
+            if not behind.size:
+                break
+            flat_bins[behind] += 1
+            behind = behind[~(self._padded[flat_bins[behind]] >= values[behind])]
+        if behind.size:
+            flat_bins[behind] = np.searchsorted(self._flat, values[behind], side="left")
+        return bins
 
 
 def sample_pseudo_copula(

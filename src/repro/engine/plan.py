@@ -3,11 +3,12 @@
 Sampling a released copula model splits into two kinds of work.
 *Per-model* work — checking the margins against the schema, repairing
 and factorizing the DP correlation matrix, building the margin
-inverter's tables — depends only on the released state.  *Per-request*
-work — drawing latent normals, the normal-CDF push, the inverse-margin
-lookup — is three vectorized passes.  A :class:`SamplerPlan` does the
-per-model work when it is built, so the request path is exactly those
-three passes against read-only arrays.
+inverter's banded CDF vector and guide table — depends only on the
+released state.  *Per-request* work — drawing latent normals, the
+normal-CDF push, the inverse-margin lookup — is three vectorized
+passes.  A :class:`SamplerPlan` does the per-model work when it is
+built, so the request path is exactly those three passes against
+read-only arrays.
 
 :meth:`SamplerPlan.sample_batch` is the library's only Algorithm 3
 loop.  :func:`repro.core.sampling.sample_synthetic` builds a plan and
@@ -23,8 +24,9 @@ Coalesced execution keeps that contract per request: each request's
 latent block is drawn from its own generator and multiplied at its own
 shape (single-row slices of a large GEMM are *not* bitwise stable
 across BLAS kernels, so the matmul is deliberately per-request), while
-the elementwise normal CDF and the ``searchsorted`` margin inversion —
-which are slice-stable — run once over the whole batch.
+the elementwise normal CDF and the margin inversion — slice-stable,
+since each cell's bin depends only on its own value and column — run
+once over the whole batch.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class SamplerPlan:
         drawing it alone: the latent draw and the Cholesky matmul run per
         request (their results depend on the generator state and, for
         BLAS, on the operand shapes), while the elementwise normal CDF
-        and the banded ``searchsorted`` inversion — both verified
-        slice-stable — run once over the whole batch.
+        and the guide-table margin inversion — both slice-stable, and
+        tested so — run once over the whole batch.
         """
         if not requests:
             return []

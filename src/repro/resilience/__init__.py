@@ -21,8 +21,8 @@ pieces (see docs/RELIABILITY.md for the operator-facing story):
   voids them — instead of losing them (and the ε they charged).
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (``DPCOPULA_FAULTS`` environment variable) used by the
-  chaos suite (``tests/resilience/``) to kill workers, delay stages,
-  fail I/O and corrupt partial writes on demand.
+  chaos suite (``tests/resilience/``) to kill workers, delay stages
+  and fail I/O on demand.
 
 Layering: this package sits *below* :mod:`repro.parallel` and
 :mod:`repro.service` (both import it) and depends only on the

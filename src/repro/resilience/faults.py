@@ -2,10 +2,10 @@
 
 The chaos suite (``tests/resilience/``) needs to make precisely-placed
 bad things happen: kill a pool worker, stall a fit stage, fail a ledger
-append, tear a write in half.  Production code is sprinkled
-with cheap named *fault points* — ``faults.inject("parallel.chunk")`` —
-that are inert unless the ``DPCOPULA_FAULTS`` environment variable (or
-an explicit :func:`configure` call) arms a plan.
+append.  Production code is sprinkled with cheap named *fault points* —
+``faults.inject("parallel.chunk")`` — that are inert unless the
+``DPCOPULA_FAULTS`` environment variable (or an explicit
+:func:`configure` call) arms a plan.
 
 Spec grammar (semicolon-separated clauses)::
 
@@ -20,8 +20,6 @@ delay    seconds (default 0.05)   sleep, then continue (simulates a
                                   hung stage; pairs with deadlines)
 raise    exception name           raise ``OSError``/``RuntimeError``/
          (default FaultInjected)  ``FaultInjected``
-truncate keep-fraction in [0,1]   :func:`corrupt_bytes` returns only a
-         (default 0.5)            prefix of the payload (torn write)
 ======== ======================= =====================================
 
 ``count`` (default 1) is how many times the clause fires; ``*`` means
@@ -54,7 +52,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "configure",
-    "corrupt_bytes",
     "inject",
 ]
 
@@ -68,7 +65,7 @@ _FAULTS_TOTAL = metrics.REGISTRY.counter(
 FAULTS_ENV_VAR = "DPCOPULA_FAULTS"
 FAULTS_LATCH_ENV_VAR = "DPCOPULA_FAULTS_LATCH"
 
-_ACTIONS = ("kill", "delay", "raise", "truncate")
+_ACTIONS = ("kill", "delay", "raise")
 
 _RAISABLE = {
     "FaultInjected": None,  # filled in below FaultInjected's definition
@@ -167,7 +164,7 @@ class FaultPlan:
     def fire(self, site: str) -> None:
         """Trigger any armed ``kill``/``delay``/``raise`` clause for ``site``."""
         for clause in self.clauses:
-            if clause.site != site or clause.action == "truncate":
+            if clause.site != site:
                 continue
             if not self._claim(clause):
                 continue
@@ -185,23 +182,6 @@ class FaultPlan:
                 raise exc_type(f"injected fault at {site}")
             elif clause.action == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-
-    def corrupt(self, site: str, payload: bytes) -> bytes:
-        """Apply any armed ``truncate`` clause for ``site`` to ``payload``."""
-        for clause in self.clauses:
-            if clause.site != site or clause.action != "truncate":
-                continue
-            if not self._claim(clause):
-                continue
-            keep = float(clause.value) if clause.value else 0.5
-            cut = max(0, min(len(payload), int(len(payload) * keep)))
-            _FAULTS_TOTAL.inc(site=site, action=clause.action)
-            _logger.warning(
-                "fault injected: payload truncated",
-                extra={"site": site, "kept_bytes": cut, "of_bytes": len(payload)},
-            )
-            return payload[:cut]
-        return payload
 
 
 # The active plan is cached against the exact env value that produced
@@ -251,11 +231,3 @@ def inject(site: str) -> None:
     plan = _active_plan()
     if plan is not None:
         plan.fire(site)
-
-
-def corrupt_bytes(site: str, payload: bytes) -> bytes:
-    """Fault point for writes: possibly truncate ``payload`` (torn write)."""
-    plan = _active_plan()
-    if plan is not None:
-        return plan.corrupt(site, payload)
-    return payload

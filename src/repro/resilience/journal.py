@@ -116,30 +116,44 @@ class JobRecord:
     def from_dict(cls, payload: Dict[str, Any]) -> "JobRecord":
         """Read a record; older records carry stage lists instead of
         ``noise_drawn``, and any computed stage in them means noise was
-        drawn."""
-        return cls(
-            job_id=str(payload["job_id"]),
-            dataset_id=str(payload["dataset_id"]),
-            method=str(payload["method"]),
-            epsilon=float(payload["epsilon"]),
-            k=float(payload["k"]),
-            seed=int(payload["seed"]),
-            state=str(payload.get("state", "queued")),
-            attempts=int(payload.get("attempts", 0)),
-            noise_drawn=bool(
-                payload.get("noise_drawn")
-                or payload.get("stages_done")
-                or payload.get("stage_computed")
-            ),
-            refund_due=bool(payload.get("refund_due", False)),
-            cancel_requested=bool(payload.get("cancel_requested", False)),
-            model_id=payload.get("model_id"),
-            error=payload.get("error"),
-            submitted_at=float(payload.get("submitted_at", 0.0)),
-            started_at=payload.get("started_at"),
-            finished_at=payload.get("finished_at"),
-            updated_at=float(payload.get("updated_at", 0.0)),
-        )
+        drawn.
+
+        A record that is not an object, lacks a required field or holds
+        a field of the wrong type (``"seed": null``) raises
+        ``ValueError`` naming the job: the fit worker skips such a job
+        and :meth:`JobJournal.list` skips its record.
+        """
+        try:
+            return cls(
+                job_id=str(payload["job_id"]),
+                dataset_id=str(payload["dataset_id"]),
+                method=str(payload["method"]),
+                epsilon=float(payload["epsilon"]),
+                k=float(payload["k"]),
+                seed=int(payload["seed"]),
+                state=str(payload.get("state", "queued")),
+                attempts=int(payload.get("attempts", 0)),
+                noise_drawn=bool(
+                    payload.get("noise_drawn")
+                    or payload.get("stages_done")
+                    or payload.get("stage_computed")
+                ),
+                refund_due=bool(payload.get("refund_due", False)),
+                cancel_requested=bool(payload.get("cancel_requested", False)),
+                model_id=payload.get("model_id"),
+                error=payload.get("error"),
+                submitted_at=float(payload.get("submitted_at", 0.0)),
+                started_at=_optional_float(payload.get("started_at")),
+                finished_at=_optional_float(payload.get("finished_at")),
+                updated_at=float(payload.get("updated_at", 0.0)),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            job_id = payload.get("job_id") if isinstance(payload, dict) else None
+            raise ValueError(f"malformed record for job {job_id!r}: {exc!r}") from exc
+
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 class JobJournal:
@@ -246,7 +260,7 @@ class JobJournal:
         for path in sorted(self.directory.glob("*.json")):
             try:
                 records.append(JobRecord.from_dict(json.loads(path.read_text())))
-            except (ValueError, KeyError, TypeError):
+            except ValueError:
                 _logger.warning(
                     "skipping unreadable job record", extra={"path": str(path)}
                 )

@@ -11,6 +11,8 @@ reference implementations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hybrid import DPCopulaHybrid
 from repro.core.kendall_matrix import dp_kendall_correlation
@@ -198,6 +200,80 @@ class TestFastKernelExactness:
         assert sizes == [3]
 
 
+def _flat_banded_search(margins, uniforms):
+    """The banded inverter's definition: one flat ``searchsorted``.
+
+    Margin ``j``'s CDF and its uniforms are shifted by ``2j``, so one
+    search over the concatenated CDFs answers every column.
+    """
+    cdfs = [margin.cdf for margin in margins]
+    bands = 2.0 * np.arange(len(cdfs))
+    sizes = np.array([cdf.size for cdf in cdfs])
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    flat = np.concatenate([cdf + band for cdf, band in zip(cdfs, bands)])
+    bins = np.searchsorted(flat, np.clip(uniforms, 0.0, 1.0) + bands, side="left")
+    return np.clip(bins - starts, 0, sizes - 1).astype(np.int64)
+
+
+def _ulps_around(values, steps):
+    """``values`` and every neighbour up to ``steps`` ulps either side."""
+    probes = [values]
+    up = down = values
+    for _ in range(steps):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, -np.inf)
+        probes += [up, down]
+    return np.concatenate(probes)
+
+
+_SPECIAL_UNIFORMS = np.array(
+    [0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     np.nan, np.inf, -np.inf, -0.25, 1.25, -1e300, 1e300, -5e-324]
+)
+
+# Zero-mass runs (one long enough to exhaust the forward steps), trailing
+# zero bins after a CDF that overshoots 1.0 (so the last entry, set to
+# 1.0, sits below the one before it), all counts clipped (the uniform
+# fallback) and a one-value domain.
+_SPECIAL_COUNTS = [
+    [4.0, 0.0, 0.0, 0.0, 2.0, -3.0, 1.0],
+    [1.0] + [0.0] * 8 + [1.0],
+    [7.0, 6.0, 9.0, 5.0, 1.0, 0.0, 0.0],
+    [-1.0, -2.0, 0.0],
+    [7.0],
+]
+
+_COUNTS = st.lists(
+    st.sampled_from([0.0, -1.0]) | st.floats(0.001, 100.0), min_size=1, max_size=30
+)
+
+
+@st.composite
+def _margin_batches(draw):
+    """Up to 40 margins (the specials among them) and a probe batch.
+
+    Column ``j`` holds every CDF value of margin ``j`` ±40 ulps, every
+    guide-bucket edge ``b/B_j`` ±1 ulp, the special values and random
+    uniforms.
+    """
+    m = draw(st.integers(len(_SPECIAL_COUNTS), 40))
+    counts = draw(st.lists(_COUNTS, min_size=m - len(_SPECIAL_COUNTS),
+                           max_size=m - len(_SPECIAL_COUNTS)))
+    margins = [HistogramCDF(c) for c in draw(st.permutations(counts + _SPECIAL_COUNTS))]
+    columns = []
+    for margin in margins:
+        buckets = 1 << (4 * margin.domain_size - 1).bit_length()
+        columns.append(np.concatenate([
+            _ulps_around(margin.cdf, 40),
+            _ulps_around(np.arange(buckets + 1) / buckets, 1),
+            _SPECIAL_UNIFORMS,
+        ]))
+    rows = max(column.size for column in columns)
+    probes = np.column_stack([np.resize(column, rows) for column in columns])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return margins, np.vstack([probes, rng.uniform(size=(200, m))])
+
+
 class TestSamplingVectorization:
     def _margins(self, seed=4, m=3):
         rng = np.random.default_rng(seed)
@@ -231,3 +307,23 @@ class TestSamplingVectorization:
         inverter = BatchedMarginInverter(self._margins())
         with pytest.raises(ValueError, match="uniform batch"):
             inverter(np.zeros((10, 7)))
+
+    @given(_margin_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_guide_table_matches_the_flat_banded_search(self, batch):
+        margins, uniforms = batch
+        inverter = BatchedMarginInverter(margins)
+        expected = _flat_banded_search(margins, uniforms)
+        np.testing.assert_array_equal(inverter(uniforms), expected)
+        # One row is too few cells for the table and takes the flat search.
+        np.testing.assert_array_equal(inverter(uniforms[-1:]), expected[-1:])
+
+    @given(_margin_batches(), st.lists(st.integers(0, 10**6), max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_batch_inverts_as_its_slices(self, batch, cuts):
+        """The coalescer's contract: one pass over stacked requests."""
+        margins, uniforms = batch
+        inverter = BatchedMarginInverter(margins)
+        cuts = sorted(cut % (uniforms.shape[0] + 1) for cut in cuts)
+        sliced = [inverter(part) for part in np.split(uniforms, cuts)]
+        np.testing.assert_array_equal(np.vstack(sliced), inverter(uniforms))

@@ -29,8 +29,8 @@ class TestSpecParsing:
         assert clause.remaining is None
 
     def test_multiple_clauses_split_on_semicolons(self):
-        plan = FaultPlan.parse("a:kill;b:raise:RuntimeError;c:truncate:0.25:3")
-        assert [c.site for c in plan.clauses] == ["a", "b", "c"]
+        plan = FaultPlan.parse("a:kill;b:raise:RuntimeError")
+        assert [c.site for c in plan.clauses] == ["a", "b"]
 
     @pytest.mark.parametrize(
         "spec",
@@ -68,17 +68,6 @@ class TestFiring:
         plan.fire("here")
         assert time.monotonic() - started >= 0.04
 
-    def test_truncate_cuts_payload(self):
-        plan = FaultPlan.parse("write:truncate:0.5")
-        assert plan.corrupt("write", b"x" * 100) == b"x" * 50
-        # Budget of one: the second write goes through intact.
-        assert plan.corrupt("write", b"x" * 100) == b"x" * 100
-
-    def test_truncate_does_not_fire_via_inject(self):
-        plan = FaultPlan.parse("write:truncate:0.0")
-        plan.fire("write")  # truncate clauses only act through corrupt()
-        assert plan.corrupt("write", b"abc") == b""
-
 
 class TestLatchDirectory:
     def test_count_is_global_across_plans(self, tmp_path):
@@ -96,7 +85,6 @@ class TestLatchDirectory:
 class TestModuleLevelInjection:
     def test_inert_without_a_plan(self):
         faults.inject("anything")
-        assert faults.corrupt_bytes("anything", b"abc") == b"abc"
 
     def test_env_var_arms_the_plan(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "site:raise")
@@ -114,7 +102,3 @@ class TestModuleLevelInjection:
         faults.configure("site:raise")
         faults.configure(None)
         faults.inject("site")
-
-    def test_corrupt_bytes_routes_through_plan(self):
-        faults.configure("w:truncate:0.5")
-        assert faults.corrupt_bytes("w", b"abcd") == b"ab"

@@ -92,6 +92,27 @@ class TestLifecycleRecords:
         (journal.directory / "broken.json").write_text("{not json")
         assert [r.job_id for r in journal.list()] == ["job1"]
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": None},
+            {"epsilon": "lots"},
+            {"seed": 1e999},
+            {"started_at": []},
+            {"dataset_id": KeyError},
+        ],
+        ids=["null-seed", "text-epsilon", "infinite-seed", "list-start", "no-dataset"],
+    )
+    def test_malformed_record_raises_value_error_naming_the_job(self, change):
+        payload = _record().to_dict()
+        for name, value in change.items():
+            if value is KeyError:
+                del payload[name]
+            else:
+                payload[name] = value
+        with pytest.raises(ValueError, match="'job1'"):
+            JobRecord.from_dict(payload)
+
     def test_noise_and_refund_marks_persist(self, journal):
         created = journal.create(_record())
         assert (created.noise_drawn, created.refund_due) == (False, False)

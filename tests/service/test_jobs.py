@@ -1,5 +1,6 @@
 """Tests for the background fit worker and the service core."""
 
+import json
 import threading
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestFitWorker:
         assert "boom" in bad.error
         assert good.state == "done"
         assert good.model_id == "model-ok"
+        worker.close()
+
+    def test_malformed_record_leaves_the_worker_draining(self, journal):
+        """A queued record rewritten with a null seed is skipped, not fatal."""
+        bad = _journaled(journal, "bad")
+        path = journal.directory / "bad.json"
+        payload = json.loads(path.read_text())
+        payload["seed"] = None
+        path.write_text(json.dumps(payload))
+        worker = FitWorker(lambda job: "model-ok", journal)
+        worker.submit(bad)
+        worker.submit(_journaled(journal, "good"))
+        assert worker.wait("good", timeout=5.0).state == "done"
+        assert worker.alive()
         worker.close()
 
     def test_unknown_job_raises(self, journal):

@@ -12,13 +12,17 @@ attributes, n=100k records):
     (re-implemented locally) so the perf trajectory always measures
     against the same fixed reference.
 ``serial_optimized`` / ``thread`` / ``process``
-    Today's :func:`kendall_tau_matrix` — per-column rank codings plus
-    two exact pair kernels (a joint count table when the pair spans
-    ``d_x·d_y ≤ 4n`` cells, scipy's compiled merge sort otherwise) — run
-    through each :class:`~repro.parallel.ExecutionContext` backend.  At
-    the full n=100k every pair takes the table; at the smoke's n=20k the
+    Today's :func:`kendall_tau_matrix` — per-column narrow rank codes
+    (one ``bincount`` per bounded integer column) plus two exact pair
+    kernels (a joint count table when the pair spans ``d_x·d_y ≤ 4n``
+    cells, scipy's compiled merge sort otherwise) — run through each
+    :class:`~repro.parallel.ExecutionContext` backend.  Table pairs
+    always run on the calling thread; only merge pairs fan out over the
+    backend.  At the full n=100k every pair takes the table, so the
+    three rows time the same serial work; at the smoke's n=20k the
     pairs of two 500-value columns take the merge and the rest the
-    table, so the smoke's bitwise check covers both kernels.
+    table, so the smoke's bitwise check covers both kernels and the
+    fan-out.
 
 Besides wall-clock, the run *verifies* the two contracts the layer
 makes: every backend's matrix is bitwise identical, and the optimized
@@ -115,8 +119,8 @@ def run(args) -> dict:
             "seconds": seconds,
             "speedup_vs_serial": results["serial"]["seconds"] / seconds,
             "implementation": (
-                f"rank codes + count-table/merge pair kernels "
-                f"({context.backend} backend)"
+                f"narrow rank codes; table pairs on the caller, merge "
+                f"pairs over the {context.backend} backend"
             ),
         }
         print(

@@ -548,7 +548,7 @@ def _serve(args) -> int:
     print(f"data directory: {args.data_dir} (ε cap {args.epsilon_cap:g}/dataset)")
     print(
         f"fit pool: {args.fit_workers} worker(s), "
-        f"parallel backend: {args.parallel_backend}"
+        f"{service.context.max_workers} thread(s) per fit"
     )
     print(
         "endpoints: /health /healthz /metrics /budget /debug/observatory "
@@ -788,21 +788,23 @@ def _jobs(args) -> int:
         print(f"no job journal under {args.data_dir!r}", file=sys.stderr)
         return 1
     journal = JobJournal(jobs_dir)
-    if args.cancel:
+    if args.cancel or args.show:
+        job_id = args.cancel or args.show
         try:
-            record = journal.request_cancel(args.cancel)
+            if args.cancel:
+                record = journal.request_cancel(job_id)
+            else:
+                record = journal.load(job_id)
         except KeyError:
-            print(f"no journaled job with id {args.cancel!r}", file=sys.stderr)
+            print(f"no journaled job with id {job_id!r}", file=sys.stderr)
             return 1
-        print(f"cancellation requested for {args.cancel} (state: {record.state})")
-        return 0
-    if args.show:
-        try:
-            record = journal.load(args.show)
-        except KeyError:
-            print(f"no journaled job with id {args.show!r}", file=sys.stderr)
+        except ValueError as exc:  # a malformed record names its job
+            print(exc, file=sys.stderr)
             return 1
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        if args.cancel:
+            print(f"cancellation requested for {job_id} (state: {record.state})")
+        else:
+            print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
         return 0
     records = journal.list()
     if args.json:

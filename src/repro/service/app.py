@@ -180,10 +180,11 @@ class SynthesisService:
         self.journal = JobJournal(config.jobs_dir)
         # One stateless execution context serves every fit worker; each
         # map_tasks call builds its own pool, so concurrent fits never
-        # contend on shared executor state.
-        self.context = ExecutionContext(
-            backend=config.parallel_backend, max_workers=config.parallel_workers
-        )
+        # contend on shared executor state.  The code picks it: threads,
+        # one per CPU this process may use (serial on a one-CPU mask),
+        # which a Kendall fit's merge pairs fan out over.  Every backend
+        # releases the same bits; the service never forks a pool.
+        self.context = ExecutionContext("thread")
         self._poller_stop = threading.Event()
         self._poller: Optional[threading.Thread] = None
         # Held across journal-then-queue in submit_fit and across each
@@ -518,8 +519,6 @@ class SynthesisService:
                     "k": job.k,
                     "job_id": job.job_id,
                     "fit_seconds": round(fit_seconds, 6),
-                    "parallel_backend": self.context.backend,
-                    "parallel_workers": self.context.max_workers,
                     "fit_workers": self.config.fit_workers,
                 },
             ),

@@ -27,8 +27,6 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.parallel import BACKENDS
-
 PathLike = Union[str, Path]
 
 #: Identifiers for datasets and models: filesystem- and URL-safe.
@@ -139,18 +137,6 @@ class ServiceConfig:
         "background fit-worker pool size; 1 fits strictly serially in "
         "submission order, more overlap independent fits at the cost of a "
         "deterministic refusal order near the budget cap",
-        type=int, at_least=1,
-    )
-    parallel_backend: str = _setting(
-        "serial",
-        "execution backend each fit uses for its hot loops (pairwise tau, "
-        "per-block MLE)",
-        choices=BACKENDS,
-    )
-    parallel_workers: Optional[int] = _setting(
-        None,
-        "worker budget for the parallel backend; unset uses the CPUs "
-        "available to the server",
         type=int, at_least=1,
     )
     log_level: Optional[str] = _setting(

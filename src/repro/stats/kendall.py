@@ -9,15 +9,19 @@ Two reference implementations are provided:
   assumes), counting discordant pairs as inversions with a merge sort.
 
 :func:`kendall_tau_matrix` rank-codes each column once
-(:func:`rank_code_columns`), fans the ``C(m, 2)`` pairs out over a
-:class:`~repro.parallel.ExecutionContext`, and gives each pair one of two
-exact kernels.  A pair whose rank codes span ``d_x·d_y ≤ 4n`` joint
+(:func:`rank_code_columns`: one ``bincount`` for an integer column whose
+range is below its length, ``np.unique`` otherwise; codes stored in the
+narrowest unsigned dtype) and gives each of the ``C(m, 2)`` pairs one of
+two exact kernels.  A pair whose rank codes span ``d_x·d_y ≤ 4n`` joint
 cells takes the count-table kernel: a ``bincount`` of the joint codes
 and two prefix sums over that table.  Every other pair (continuous or
 large-domain columns) takes scipy's compiled Knight merge sort.  Both
 produce the integer concordant-minus-discordant count ``C − D`` and
 divide it once by ``C(n, 2)``, so each equals :func:`kendall_tau_merge`
-bit for bit.
+bit for bit.  The scheduling rule: table pairs, short and holding the
+GIL for most of their run, always run on the calling thread; merge
+pairs, whose sorts release it, fan out over a
+:class:`~repro.parallel.ExecutionContext`.
 
 All compute **tau-a**: the paper's Definition 3.5 normalizes by
 ``C(n, 2)`` without tie corrections, and the Lemma 4.1 sensitivity bound
@@ -166,9 +170,38 @@ _EXACT_RECOVERY_MAX_PAIRS = 2**50
 _TABLE_CELLS_PER_RECORD = 4
 
 
-def _tied_pair_count_from_bincount(counts: np.ndarray) -> int:
-    counts = counts.astype(np.int64)
-    return int(np.sum(counts * (counts - 1) // 2))
+def _code_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype holding codes ``0 .. size - 1``.
+
+    Past ``uint32`` codes stay ``intp``: ``uint64`` mixed with a signed
+    integer promotes to ``float64`` in NumPy.
+    """
+    dtype = np.min_scalar_type(size - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.intp)
+
+
+def _dense_codes(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A contiguous column's narrow dense rank codes and each code's count.
+
+    An integer column whose range is below its length is coded by one
+    ``bincount`` of its offsets from the minimum: the codes are the
+    running count of occupied offsets.  For integer values with
+    ``max − min < n`` every offset ``x − min`` is an exact integer, so
+    the codes are ``np.unique``'s inverse, without its sort.  Any other
+    column (non-integer values, a wide range, NaN or ±inf) takes
+    ``np.unique``.
+    """
+    low, high = column.min(), column.max()
+    bounded = np.isfinite(low) and high - low < column.size
+    if bounded and np.array_equal(column, np.rint(column)):
+        offsets = (column - low).astype(np.intp)
+        counts = np.bincount(offsets)
+        present = counts > 0
+        counts = counts[present]
+        ranks = np.cumsum(present) - 1
+        return ranks.astype(_code_dtype(counts.size))[offsets], counts
+    _, codes, counts = np.unique(column, return_inverse=True, return_counts=True)
+    return codes.astype(_code_dtype(counts.size)), counts
 
 
 def rank_code_columns(
@@ -178,22 +211,25 @@ def rank_code_columns(
 
     Kendall's tau-a depends only on the order/tie structure of each
     column, so every pairwise statistic can be computed from these
-    ``int64`` codes.  Computing them here — once per column instead of
-    once per pair inside the pair kernel — removes ``O(m)`` redundant
-    ``np.unique`` sorts from the ``C(m, 2)`` loop and gives the parallel
-    backends a compact shared payload.  A column's domain size is its
-    number of distinct values, so its codes lie in ``[0, size)``.
+    codes.  Computing them here — once per column instead of once per
+    pair inside the pair kernel — keeps sorts out of the ``C(m, 2)``
+    loop and gives the parallel backends a compact shared payload.
+    Each column is coded from a contiguous copy by :func:`_dense_codes`.
+    A column's domain size is its number of distinct values, so its
+    codes lie in ``[0, size)``; they are stored in the narrowest
+    unsigned dtype that holds them (``uint8`` up to 256 values,
+    ``uint16`` up to 65 536), which makes the merge kernel's stable
+    sorts radix sorts.  Arithmetic on codes must widen them first:
+    NumPy computes ``uint8``/``uint16`` products in that dtype.
     """
     values = np.asarray(values, dtype=float)
     codes: List[np.ndarray] = []
     tied_pairs: List[int] = []
     domain_sizes: List[int] = []
     for j in range(values.shape[1]):
-        column_codes = np.unique(values[:, j], return_inverse=True)[1]
-        column_codes = np.ascontiguousarray(column_codes, dtype=np.int64)
-        counts = np.bincount(column_codes)
+        column_codes, counts = _dense_codes(np.ascontiguousarray(values[:, j]))
         codes.append(column_codes)
-        tied_pairs.append(_tied_pair_count_from_bincount(counts))
+        tied_pairs.append(int(np.sum(counts * (counts - 1) // 2)))
         domain_sizes.append(counts.size)
     return codes, tied_pairs, domain_sizes
 
@@ -207,10 +243,14 @@ def _tau_a_from_table(cx: np.ndarray, cy: np.ndarray, dx: int, dy: int) -> float
     ``i' < i, j' > j``; counting each pair from its larger x-code counts
     it once.  Two prefix sums give both counts for every cell, so
     ``C − D`` is one ``int64`` dot product (exact while ``n² < 2**63``),
-    divided once by ``C(n, 2)``.
+    divided once by ``C(n, 2)``.  The joint code is formed in ``intp``:
+    in the codes' narrow dtype ``cx * dy`` would wrap (``uint16``) or
+    raise ``OverflowError`` (``uint8``, for ``dy > 255``).
     """
     n = cx.size
-    table = np.bincount(cx * dy + cy, minlength=dx * dy).reshape(dx, dy)
+    joint = np.multiply(cx, dy, dtype=np.intp)
+    joint += cy
+    table = np.bincount(joint, minlength=dx * dy).reshape(dx, dy)
     # above[i, j]: records with x-code < i and y-code == j.
     above = np.cumsum(table, axis=0) - table
     # above_left[i, j]: records with x-code < i and y-code <= j.
@@ -247,6 +287,11 @@ def _tau_a_from_merge(
     return concordant_minus_discordant / total_pairs
 
 
+def _takes_table(dx: int, dy: int, n: int) -> bool:
+    """The kernel rule: the count table when ``d_x·d_y ≤ 4n`` cells."""
+    return dx * dy <= _TABLE_CELLS_PER_RECORD * n
+
+
 def _pair_tau_task(task: Tuple[int, int], shared) -> float:
     """Worker body for one (j, k) pair of the tau matrix."""
     j, k = task
@@ -254,7 +299,7 @@ def _pair_tau_task(task: Tuple[int, int], shared) -> float:
     if method == "naive":
         return kendall_tau_naive(columns[j], columns[k])
     dx, dy = domain_sizes[j], domain_sizes[k]
-    if dx * dy <= _TABLE_CELLS_PER_RECORD * columns[j].size:
+    if _takes_table(dx, dy, columns[j].size):
         return _tau_a_from_table(columns[j], columns[k], dx, dy)
     return _tau_a_from_merge(columns[j], columns[k], tied_pairs[j], tied_pairs[k])
 
@@ -266,16 +311,22 @@ def kendall_tau_matrix(
 ) -> np.ndarray:
     """Pairwise Kendall's tau-a matrix of the columns of ``values``.
 
-    Diagonal entries are 1 by convention.  The ``C(m, 2)`` pairs are
-    independent, so they fan out over ``context`` (an
-    :class:`~repro.parallel.ExecutionContext`; default serial).  For
-    ``method="merge"`` each pair is computed from the per-column rank
-    codings by one of two exact kernels, chosen from the two columns'
-    domain sizes alone, so every backend makes the same choice: the
+    Diagonal entries are 1 by convention.  For ``method="merge"`` each
+    pair is computed from the per-column rank codings by one of two
+    exact kernels, chosen from the two columns' domain sizes alone: the
     count-table kernel when ``d_x·d_y ≤ 4n``, scipy's compiled Knight
     merge sort otherwise.  Both divide the integer ``C − D`` once by
     ``C(n, 2)``, so the result equals :func:`kendall_tau_merge` bit for
     bit, just faster.
+
+    The scheduling rule splits the independent pairs by kernel.  Table
+    pairs run on the calling thread: each is a few short NumPy calls
+    that hold the GIL for most of their run, so spread over pool
+    threads they contend and take longer than on one.  The merge pairs
+    (every pair for ``method="naive"``), whose sorts release the GIL,
+    fan out over ``context`` (an :class:`~repro.parallel.ExecutionContext`;
+    default serial).  Where a pair ran never changes its value, so every
+    backend returns the same matrix.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -294,8 +345,19 @@ def kendall_tau_matrix(
     else:
         columns = [np.ascontiguousarray(values[:, j]) for j in range(m)]
         tied_pairs = domain_sizes = None
+    table_pairs: List[Tuple[int, int]] = []
+    pooled_pairs: List[Tuple[int, int]] = []
+    for j, k in pairs:
+        takes_table = method == "merge" and _takes_table(
+            domain_sizes[j], domain_sizes[k], n
+        )
+        (table_pairs if takes_table else pooled_pairs).append((j, k))
     shared = (method, columns, tied_pairs, domain_sizes)
-    taus = resolve_context(context).map_tasks(_pair_tau_task, pairs, shared=shared)
-    for (j, k), tau in zip(pairs, taus):
+    caller = ExecutionContext("serial")
+    taus = caller.map_tasks(_pair_tau_task, table_pairs, shared=shared)
+    taus += resolve_context(context).map_tasks(
+        _pair_tau_task, pooled_pairs, shared=shared
+    )
+    for (j, k), tau in zip(table_pairs + pooled_pairs, taus):
         matrix[j, k] = matrix[k, j] = tau
     return check_matrix_square("tau matrix", matrix)

@@ -9,6 +9,9 @@ equivalence of both fast matrix kernels (count table and merge) with the
 reference implementations.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from repro.data.dataset import Attribute, Dataset, Schema
 from repro.experiments.runner import average_evaluation, make_method
 from repro.parallel import ExecutionContext
 from repro.queries.range_query import random_workload
+from repro.resilience.deadlines import Deadline, DeadlineExceeded, deadline_scope
 from repro.stats import kendall
 from repro.stats.ecdf import HistogramCDF
 from repro.stats.kendall import (
@@ -198,6 +202,142 @@ class TestFastKernelExactness:
         assert codes[0].tolist() == [2, 0, 2, 1, 0]
         assert tied == [2]  # two tied pairs: the 3.5s and the -1.0s
         assert sizes == [3]
+
+
+def _column_kinds(n=400, seed=11):
+    """One column of each kind the rank coder must code like ``np.unique``."""
+    rng = np.random.default_rng(seed)
+    signed_zeros = rng.choice([-1.0, -0.0, 0.0, 2.0], n)
+    return {
+        "integer": rng.integers(0, 50, n).astype(float),
+        "negative-integer": rng.integers(-40, 10, n).astype(float),
+        "wide-range-integer": rng.integers(0, 10**9, n).astype(float),
+        "non-integer-float": np.round(rng.normal(size=n), 2),
+        "signed-zero": signed_zeros,
+        "constant": np.full(n, 3.0),
+        "tie-heavy": rng.integers(0, 3, n).astype(float),
+    }
+
+
+class TestRankCodedKernels:
+    """Bincount rank codes, narrow codes and the table/merge scheduling."""
+
+    BACKENDS = [
+        ExecutionContext("serial"),
+        ExecutionContext("thread", max_workers=2),
+        ExecutionContext("process", max_workers=2),
+    ]
+
+    def test_every_column_kind_matches_merge_on_every_backend(self):
+        kinds = _column_kinds()
+        values = np.column_stack(list(kinds.values()))
+        matrices = [kendall_tau_matrix(values, context=c) for c in self.BACKENDS]
+        assert _all_equal(matrices)
+        m = values.shape[1]
+        for j in range(m):
+            for k in range(j + 1, m):
+                expected = kendall_tau_merge(values[:, j], values[:, k])
+                assert matrices[0][j, k] == expected, (list(kinds)[j], list(kinds)[k])
+
+    @pytest.mark.parametrize("kind", list(_column_kinds()))
+    def test_rank_codes_are_np_uniques_inverse_in_the_narrowest_dtype(
+        self, kind, monkeypatch
+    ):
+        column = _column_kinds()[kind]
+        uniques, inverse, counts = np.unique(
+            column, return_inverse=True, return_counts=True
+        )
+        sorts = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **kw: sorts.append(1) or real_unique(*a, **kw)
+        )
+        (codes,), (tied,), (size,) = rank_code_columns(column[:, None])
+        assert codes.tolist() == inverse.tolist()
+        assert codes.dtype == (np.uint16 if size > 256 else np.uint8)
+        assert size == uniques.size
+        assert tied == int(np.sum(counts * (counts - 1) // 2))
+        # Bounded integer columns skip the sort; the rest fall back to it.
+        assert bool(sorts) == (kind in ("wide-range-integer", "non-integer-float"))
+
+    @given(
+        st.lists(
+            st.integers(-300, 300).map(float)
+            | st.sampled_from([-0.0, 0.5, -1e300, 1e300, np.inf, -np.inf]),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_codes_match_np_unique_on_any_column(self, column):
+        column = np.array(column)
+        _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        (codes,), (tied,), (size,) = rank_code_columns(column[:, None])
+        assert codes.tolist() == inverse.tolist()
+        assert (size, tied) == (counts.size, int(np.sum(counts * (counts - 1) // 2)))
+
+    @pytest.mark.parametrize(
+        "domains, n, dtypes",
+        [((300, 300), 22_500, ("uint16", "uint16")), ((200, 300), 15_000, ("uint8", "uint16"))],
+        ids=["uint16-codes", "uint8-codes"],
+    )
+    def test_table_kernel_widens_narrow_codes(self, domains, n, dtypes, monkeypatch):
+        """``d_x·d_y = 4n`` exactly: the table's joint code passes 65 535."""
+        rng = np.random.default_rng(n)
+        values = np.column_stack(
+            [rng.permutation(np.arange(n) % d) for d in domains]
+        ).astype(float)
+        codes, _, sizes = rank_code_columns(values)
+        assert tuple(c.dtype.name for c in codes) == dtypes
+        assert sizes[0] * sizes[1] == 4 * n
+        tables = []
+        table_kernel = kendall._tau_a_from_table
+        monkeypatch.setattr(
+            kendall,
+            "_tau_a_from_table",
+            lambda *args: tables.append(args) or table_kernel(*args),
+        )
+        tau = kendall_tau_matrix(values)[0, 1]
+        assert len(tables) == 1
+        assert tau == kendall_tau_merge(values[:, 0], values[:, 1])
+
+    def test_table_pairs_never_run_on_a_pool_thread(self, monkeypatch):
+        # 300 records: the boundary is 1 200 cells, so the 3×3, 3×40
+        # and 3×300 pairs take the table and the rest the merge.
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, (3, 40, 300) * 2, size=(300, 6)).astype(float)
+        caller = threading.get_ident()
+        threads = {"table": [], "merge": []}
+        for kernel in threads:
+            real = getattr(kendall, f"_tau_a_from_{kernel}")
+
+            def spy(*args, kernel=kernel, real=real):
+                threads[kernel].append(threading.get_ident())
+                return real(*args)
+
+            monkeypatch.setattr(kendall, f"_tau_a_from_{kernel}", spy)
+        pooled = kendall_tau_matrix(values, context=ExecutionContext("thread", max_workers=2))
+        assert threads["table"] and set(threads["table"]) == {caller}
+        # The spy sees pool threads: the merge pairs ran on them.
+        assert threads["merge"] and caller not in threads["merge"]
+        assert np.array_equal(pooled, kendall_tau_matrix(values))
+
+    @pytest.mark.parametrize("kernel", ["table", "merge"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_deadline_expiring_mid_matrix_raises(self, kernel, backend, monkeypatch):
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, (3, 40, 300) * 2, size=(300, 6)).astype(float)
+        real = getattr(kendall, f"_tau_a_from_{kernel}")
+
+        def slow(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(kendall, f"_tau_a_from_{kernel}", slow)
+        context = ExecutionContext(backend, max_workers=2)
+        with deadline_scope(Deadline.after(0.08)):
+            with pytest.raises(DeadlineExceeded):
+                kendall_tau_matrix(values, context=context)
 
 
 def _flat_banded_search(margins, uniforms):

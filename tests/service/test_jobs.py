@@ -1,6 +1,7 @@
 """Tests for the background fit worker and the service core."""
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -253,18 +254,28 @@ class TestRefundHook:
 
 
 class TestPooledService:
-    """The service wired with a fit pool and a parallel context."""
+    """The service wired with a fit pool and its code-picked context."""
 
-    def test_concurrent_fits_register_models(self, tmp_path, csv_text):
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_context_follows_the_cpu_mask(self, tmp_path, monkeypatch, cpus):
+        """Threads, one per CPU the process may use: serial on one CPU."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        service = SynthesisService(ServiceConfig(data_dir=tmp_path / "svc"))
+        try:
+            context = service.context
+            assert (context.backend, context.max_workers) == ("thread", len(cpus))
+            assert context.is_serial is (len(cpus) == 1)
+        finally:
+            service.close()
+
+    def test_concurrent_fits_register_models(self, tmp_path, csv_text, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = ServiceConfig(
-            data_dir=tmp_path / "pooled",
-            epsilon_cap=10.0,
-            fit_workers=2,
-            parallel_backend="thread",
-            parallel_workers=2,
+            data_dir=tmp_path / "pooled", epsilon_cap=10.0, fit_workers=2
         )
         service = SynthesisService(config)
         try:
+            assert not service.context.is_serial
             service.upload_dataset("d1", csv_text)
             jobs = [
                 service.submit_fit(

@@ -71,8 +71,6 @@ _SERVE_DEFAULTS = {
     "data_dir": "svc",
     "epsilon_cap": 10.0,
     "fit_workers": 1,
-    "parallel_backend": "serial",
-    "parallel_workers": None,
     "log_level": None,
     "max_queued_fits": 32,
     "fit_timeout_seconds": None,
@@ -114,7 +112,6 @@ _SERVE_CONFIG_TABLE = {
     "every-flag-non-default": (
         [
             "--epsilon-cap", "2.5", "--fit-workers", "2",
-            "--parallel-backend", "thread", "--parallel-workers", "3",
             "--log-level", "warning", "--max-queued-fits", "5",
             "--fit-timeout", "7.5", "--request-timeout", "12",
             "--coalesce-window", "0.002", "--max-coalesced-records", "1000",
@@ -127,8 +124,6 @@ _SERVE_CONFIG_TABLE = {
         {
             "epsilon_cap": 2.5,
             "fit_workers": 2,
-            "parallel_backend": "thread",
-            "parallel_workers": 3,
             "log_level": "warning",
             "max_queued_fits": 5,
             "fit_timeout_seconds": 7.5,
@@ -153,7 +148,7 @@ _SERVE_CONFIG_TABLE = {
 class TestServeConfig:
     """``dpcopula serve``'s flags come from ServiceConfig's fields."""
 
-    def test_parser_offers_the_21_serve_flags(self):
+    def test_parser_offers_the_19_serve_flags(self):
         parser = build_parser()
         commands = next(
             action for action in parser._actions if action.dest == "command"
@@ -165,9 +160,9 @@ class TestServeConfig:
         } - {"-h", "--help"}
         assert offered == {
             "--data-dir", "--host", "--port", "--verbose", "--workers",
-            "--epsilon-cap", "--fit-workers", "--parallel-backend",
-            "--parallel-workers", "--log-level", "--max-queued-fits",
-            "--fit-timeout", "--request-timeout", "--coalesce-window",
+            "--epsilon-cap", "--fit-workers", "--log-level",
+            "--max-queued-fits", "--fit-timeout", "--request-timeout",
+            "--coalesce-window",
             "--max-coalesced-records", "--sample-queue-limit",
             "--model-cache-size", "--slow-request-threshold",
             "--no-trace-export", "--probe-interval", "--probe-sample-size",
@@ -192,7 +187,6 @@ class TestServeConfig:
         [
             ("--epsilon-cap", "0"),
             ("--fit-workers", "0"),
-            ("--parallel-workers", "0"),
             ("--max-queued-fits", "-1"),
             ("--max-coalesced-records", "0"),
             ("--sample-queue-limit", "-3"),
@@ -215,6 +209,52 @@ class TestServeConfig:
         assert code == 2
         assert f"error: {flag}" in capsys.readouterr().err
         assert not data_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--parallel-backend", "thread"), ("--parallel-workers", "2")]
+    )
+    def test_retired_parallel_flag_exits_2_before_the_data_dir_exists(
+        self, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        """The service picks a fit's parallelism itself; no flag sets it."""
+        import repro.service
+
+        def no_server(*args, **kwargs):
+            raise AssertionError(f"serve {flag} {value} started a server")
+
+        monkeypatch.setattr(repro.service, "build_server", no_server)
+        data_dir = tmp_path / "svc"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--data-dir", str(data_dir), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not data_dir.exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_serve_banner_reports_the_code_picked_fit_threads(
+        self, cpus, tmp_path, monkeypatch, capsys
+    ):
+        import os
+
+        import repro.cli
+        import repro.service
+
+        class _Server:
+            server_address = ("127.0.0.1", 8639)
+
+            def serve_forever(self):
+                pass
+
+            def server_close(self):
+                pass
+
+        monkeypatch.delenv("DPCOPULA_WORKERS", raising=False)
+        monkeypatch.setattr(repro.service, "build_server", lambda *a, **kw: _Server())
+        monkeypatch.setattr(repro.cli.signal, "signal", lambda *args: None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert main(["serve", "--data-dir", str(tmp_path / "svc")]) == 0
+        banner = f"fit pool: 1 worker(s), {len(cpus)} thread(s) per fit"
+        assert banner in capsys.readouterr().out
 
     def test_library_config_checks_ranges_by_field_name(self, tmp_path):
         from repro.service import ServiceConfig
@@ -262,6 +302,39 @@ class TestObservatoryCommands:
             "MODEL", "TVD(max)", "2WAY(max)", "TAU", "ERR", "MISFIT"
         ]
         assert lines[header + 1].split()[0] == "m1"
+
+
+class TestJobsCommand:
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        """A journal with one queued record whose seed was nulled on disk."""
+        from repro.resilience.journal import JobJournal, JobRecord
+
+        journal = JobJournal(tmp_path / "jobs")
+        journal.create(
+            JobRecord(job_id="bad", dataset_id="d", method="kendall",
+                      epsilon=1.0, k=8.0, seed=1)
+        )
+        path = journal.directory / "bad.json"
+        payload = json.loads(path.read_text())
+        payload["seed"] = None
+        path.write_text(json.dumps(payload))
+        return tmp_path
+
+    @pytest.mark.parametrize("action", ["--show", "--cancel"])
+    def test_malformed_record_prints_one_line_and_exits_1(
+        self, data_dir, action, capsys
+    ):
+        assert main(["jobs", "--data-dir", str(data_dir), action, "bad"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("malformed record for job 'bad'")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("action", ["--show", "--cancel"])
+    def test_unknown_job_exits_1(self, data_dir, action, capsys):
+        assert main(["jobs", "--data-dir", str(data_dir), action, "nope"]) == 1
+        assert capsys.readouterr().err == "no journaled job with id 'nope'\n"
 
 
 class TestSynthesize:

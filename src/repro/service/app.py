@@ -630,8 +630,9 @@ class SynthesisService:
         try:
             synthetic = self.engine.sample(model_id, n, seed=seed)
         except KeyError as exc:
-            # The model vanished between the sidecar read and the plan
-            # lookup (concurrent delete): surface the same 404.
+            # The plan lookup of a model that is not resident reads its
+            # sidecar again; one removed since ``record`` read it (by
+            # hand: the service deletes no model) is the same 404.
             raise NotFoundError(_key_error_message(exc)) from exc
         except EngineOverloadedError as exc:
             raise QueueFullError(str(exc), retry_after=exc.retry_after) from exc

@@ -13,19 +13,23 @@ models starts instantly.  The in-memory cache is **bounded**: at most
 (evictions only drop the cached copy — the durable NPZ always remains,
 so an evicted model silently reloads on next use).
 
-Each cache entry carries the model's compiled
+Each cache entry carries the model's sidecar record and its compiled
 :class:`~repro.engine.plan.SamplerPlan` alongside the model itself —
 the plan the sampling engine serves every request from, compiled once
-per cached model and process.  A registered model is **immutable**: one
-model id is one charged release.  :meth:`ModelRegistry.put` refuses an
-id that exists and nothing rewrites a model's files afterwards, so a
-cached plan never goes stale, and every process that loads the id — a
-sibling pre-fork worker, a respawned one, a restarted server — compiles
-the same plan from the same bytes.
+per cached model and process.  A resident model's record and plan are
+served from memory, so sampling it or reading its record touches no
+file; only listing and lookups of models that are not resident read
+sidecars.  A registered model is **immutable**: one model id is one
+charged release.  :meth:`ModelRegistry.put` refuses an id that exists
+and nothing rewrites a model's files afterwards, so a cached record or
+plan never goes stale, and every process that loads the id — a sibling
+pre-fork worker, a respawned one, a restarted server — reads the same
+record and compiles the same plan from the same bytes.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import threading
@@ -39,10 +43,12 @@ from typing import Any, Dict, List, Optional
 from repro.engine.plan import SamplerPlan, compile_plan
 from repro.io import MODEL_FORMAT_VERSION, ReleasedModel
 from repro.service.config import PathLike, check_identifier
-from repro.telemetry import metrics
+from repro.telemetry import get_logger, metrics
 from repro.utils import atomic_write_bytes
 
 __all__ = ["ModelRecord", "ModelRegistry"]
+
+_logger = get_logger("service.registry")
 
 _EVICTIONS = metrics.REGISTRY.counter(
     "dpcopula_registry_evictions_total",
@@ -60,7 +66,11 @@ _PLAN_MISSES = metrics.REGISTRY.counter(
 
 @dataclass(frozen=True)
 class ModelRecord:
-    """Metadata sidecar for one registered model."""
+    """Metadata sidecar for one registered model.
+
+    A registry shares one record per resident model among its callers,
+    so :meth:`to_dict` hands out copies of ``schema`` and ``extra``.
+    """
 
     model_id: str
     dataset_id: str
@@ -79,33 +89,49 @@ class ModelRecord:
             "method": self.method,
             "epsilon": self.epsilon,
             "n_records": self.n_records,
-            "schema": self.schema,
+            "schema": [list(pair) for pair in self.schema],
             "created_at": self.created_at,
             "format_version": self.format_version,
-            "extra": self.extra,
+            "extra": copy.deepcopy(self.extra),
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ModelRecord":
-        # Keys this version does not know are ignored, so sidecars
-        # written by older versions still load.
-        return cls(
-            model_id=str(payload["model_id"]),
-            dataset_id=str(payload["dataset_id"]),
-            method=str(payload["method"]),
-            epsilon=float(payload["epsilon"]),
-            n_records=int(payload["n_records"]),
-            schema=[list(pair) for pair in payload["schema"]],
-            created_at=float(payload["created_at"]),
-            format_version=int(payload.get("format_version", 1)),
-            extra=dict(payload.get("extra", {})),
-        )
+    def from_dict(cls, payload: Any, model_id: Optional[str] = None) -> "ModelRecord":
+        """Read a sidecar's JSON object.
+
+        Keys this version does not know are ignored, so sidecars written
+        by older versions still load.  A payload that is not an object,
+        lacks a required field or holds one of the wrong type raises
+        ``ValueError`` naming the model: ``model_id`` when given (the
+        registry passes the id it looked up), else the payload's own.
+        """
+        try:
+            return cls(
+                model_id=str(payload["model_id"]),
+                dataset_id=str(payload["dataset_id"]),
+                method=str(payload["method"]),
+                epsilon=float(payload["epsilon"]),
+                n_records=int(payload["n_records"]),
+                schema=[[str(name), int(size)] for name, size in payload["schema"]],
+                created_at=float(payload["created_at"]),
+                format_version=int(payload.get("format_version", 1)),
+                extra=dict(payload.get("extra", {})),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if model_id is None and isinstance(payload, dict):
+                model_id = payload.get("model_id")
+            raise _malformed(model_id, exc) from exc
+
+
+def _malformed(model_id: Optional[str], exc: Exception) -> ValueError:
+    return ValueError(f"malformed record for model {model_id!r}: {exc!r}")
 
 
 @dataclass
 class _CacheEntry:
-    """One resident model plus its compiled sampler plan."""
+    """One resident model with its sidecar record and compiled plan."""
 
+    record: ModelRecord
     model: ReleasedModel
     plan: SamplerPlan
 
@@ -184,18 +210,25 @@ class ModelRegistry:
             buffer = io.BytesIO()
             model.save(buffer)
             atomic_write_bytes(self._npz_path(model_id), buffer.getvalue())
-            atomic_write_bytes(
-                self._sidecar_path(model_id),
-                (json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n").encode(),
+            sidecar = json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+            atomic_write_bytes(self._sidecar_path(model_id), sidecar.encode())
+            # Cache the record a sidecar read returns (JSON types, sorted
+            # extras), so a resident model serves the same documents as
+            # one loaded from disk.
+            self._install_locked(
+                model_id, ModelRecord.from_dict(json.loads(sidecar)), model
             )
-            self._install_locked(model_id, model)
         return record
 
     # -- cache machinery --------------------------------------------------
 
-    def _install_locked(self, model_id: str, model: ReleasedModel) -> _CacheEntry:
+    def _install_locked(
+        self, model_id: str, record: ModelRecord, model: ReleasedModel
+    ) -> _CacheEntry:
         """Cache a model (compiling its plan) and enforce the LRU bound."""
-        entry = _CacheEntry(model=model, plan=compile_plan(model, model_id))
+        entry = _CacheEntry(
+            record=record, model=model, plan=compile_plan(model, model_id)
+        )
         self._cache[model_id] = entry
         self._cache.move_to_end(model_id)
         while (
@@ -215,22 +248,35 @@ class ModelRegistry:
         return entry
 
     def _entry(self, model_id: str) -> _CacheEntry:
-        """The id's cache entry, loading + compiling on miss (LRU touch)."""
+        """The id's cache entry, loading + compiling on miss (LRU touch).
+
+        A miss reads the sidecar once, then the NPZ.
+        """
         with self._lock:
             entry = self._hit_locked(model_id)
         if entry is not None:
             return entry
-        if model_id not in self:
-            raise KeyError(f"no model registered under id {model_id!r}")
+        record = self._read_record(model_id)
         model = ReleasedModel.load(self._npz_path(model_id))
         with self._lock:
             # Another thread may have installed the model while we read
-            # the NPZ; keep its entry (and plan identity).
+            # its files; keep its entry (and plan identity).
             entry = self._hit_locked(model_id)
             if entry is None:
                 _PLAN_MISSES.inc()
-                entry = self._install_locked(model_id, model)
+                entry = self._install_locked(model_id, record, model)
             return entry
+
+    def _read_record(self, model_id: str) -> ModelRecord:
+        """Parse the id's sidecar: ``KeyError`` when there is none,
+        ``ValueError`` naming the model when it is malformed."""
+        try:
+            payload = json.loads(self._sidecar_path(model_id).read_bytes())
+        except FileNotFoundError:
+            raise KeyError(f"no model registered under id {model_id!r}") from None
+        except ValueError as exc:  # not JSON
+            raise _malformed(model_id, exc) from exc
+        return ModelRecord.from_dict(payload, model_id)
 
     def cached_models(self) -> int:
         """Models currently resident in the LRU cache."""
@@ -238,11 +284,19 @@ class ModelRegistry:
             return len(self._cache)
 
     def record(self, model_id: str) -> ModelRecord:
-        """The metadata sidecar for ``model_id`` (no NPZ load)."""
-        sidecar = self._sidecar_path(model_id)
-        if not sidecar.exists():
-            raise KeyError(f"no model registered under id {model_id!r}")
-        return ModelRecord.from_dict(json.loads(sidecar.read_text()))
+        """The metadata record for ``model_id`` (never loads the NPZ).
+
+        A resident model's record is served from its cache entry,
+        touching no file.  Otherwise the sidecar is read, and nothing is
+        cached, compiled or touched in the LRU order.  Raises
+        ``KeyError`` for an unknown id and ``ValueError`` naming the
+        model for a malformed sidecar.
+        """
+        with self._lock:
+            entry = self._cache.get(model_id)
+        if entry is not None:
+            return entry.record
+        return self._read_record(model_id)
 
     def get(self, model_id: str) -> ReleasedModel:
         """The released model itself, lazily loaded and cached."""
@@ -256,11 +310,20 @@ class ModelRegistry:
         return self._entry(model_id).plan
 
     def list(self) -> List[ModelRecord]:
-        """All registered models, newest first, from sidecars only."""
-        records = [
-            ModelRecord.from_dict(json.loads(sidecar.read_text()))
-            for sidecar in sorted(self.directory.glob("*.json"))
-        ]
+        """All registered models, newest first, from sidecars only.
+
+        A malformed sidecar is skipped with a warning, so it hides no
+        other model.
+        """
+        records = []
+        for sidecar in sorted(self.directory.glob("*.json")):
+            try:
+                records.append(self._read_record(sidecar.stem))
+            except ValueError as exc:
+                _logger.warning(
+                    "skipping unreadable model sidecar",
+                    extra={"path": str(sidecar), "error": str(exc)},
+                )
         records.sort(key=lambda r: r.created_at, reverse=True)
         return records
 

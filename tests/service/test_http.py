@@ -106,6 +106,9 @@ class TestRouting:
         _, client = http_service
         status, _ = client.post("/models/missing/sample", {"n": 10})
         assert status == 404
+        status, body = client.get("/models/missing")
+        assert status == 404
+        assert body["error"] == "no model registered under id 'missing'"
 
     def test_malformed_json_400(self, http_service):
         service, client = http_service

@@ -1,6 +1,8 @@
 """Tests for the persistent model registry."""
 
 import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,48 @@ import pytest
 from repro.data.dataset import Attribute, Schema
 from repro.io import MODEL_FORMAT_VERSION, ReleasedModel
 from repro.service.registry import ModelRecord, ModelRegistry
+from repro.telemetry.metrics import REGISTRY
 
 
 @pytest.fixture
 def registry(tmp_path) -> ModelRegistry:
     return ModelRegistry(tmp_path / "models")
+
+
+class FileSpy:
+    """Records every stat and open of a ``.json`` file in one directory
+    (a sidecar touch) and every ``ReleasedModel.load`` (an NPZ load)."""
+
+    def __init__(self, monkeypatch, directory):
+        self.directory = Path(directory)
+        self.sidecar_touches = []
+        self.npz_loads = []
+        for name in ("open", "stat"):
+            original = getattr(Path, name)
+
+            def spy(path, *args, _name=name, _original=original, **kwargs):
+                if path.parent == self.directory and path.suffix == ".json":
+                    self.sidecar_touches.append((_name, path.name))
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, spy)
+        load = ReleasedModel.load.__func__
+
+        def spy_load(cls, path):
+            self.npz_loads.append(Path(path).name)
+            return load(cls, path)
+
+        monkeypatch.setattr(ReleasedModel, "load", classmethod(spy_load))
+
+    def reset(self):
+        self.sidecar_touches.clear()
+        self.npz_loads.clear()
+
+
+def _sidecar_document(directory, model_id):
+    """The record document a sidecar read serves, from the file itself."""
+    text = (Path(directory) / f"{model_id}.json").read_text()
+    return ModelRecord.from_dict(json.loads(text)).to_dict()
 
 
 class TestPutGet:
@@ -227,3 +266,279 @@ class TestAcrossProcesses:
             assert document["epsilon"] == current["epsilon"]
         finally:
             service.close()
+
+
+class TestResidentRecord:
+    """A resident model's sample and record touch no file."""
+
+    def test_put_model_samples_and_answers_without_reading_its_sidecar(
+        self, service, released_model, monkeypatch
+    ):
+        service.registry.put(
+            released_model, dataset_id="d1", method="kendall", model_id="m1",
+            extra={"k": 8.0, "job_id": "j1"},
+        )
+        sidecar = json.loads((service.config.models_dir / "m1.json").read_text())
+        spy = FileSpy(monkeypatch, service.config.models_dir)
+        for seed in range(4):
+            document = service.sample("m1", n=25, seed=seed)
+            expected = released_model.sample(25, rng=np.random.default_rng(seed))
+            assert document["records"] == expected.values.tolist()
+            assert document["dataset_id"] == sidecar["dataset_id"]
+            assert document["epsilon"] == sidecar["epsilon"]
+        info = [service.model_info("m1") for _ in range(2)]
+        assert spy.sidecar_touches == [] and spy.npz_loads == []
+        assert info[0] == info[1] == sidecar
+
+    def test_fitted_model_record_is_the_sidecar_read_byte_for_byte(
+        self, service, csv_text, monkeypatch
+    ):
+        """The cached record keeps the sidecar's (sorted) extra order."""
+        from tests.service.test_observability import upload_and_fit
+
+        model_id = upload_and_fit(service, csv_text).model_id
+        spy = FileSpy(monkeypatch, service.config.models_dir)
+        served = json.dumps(service.model_info(model_id))
+        document = service.sample(model_id, n=25, seed=3)
+        assert spy.sidecar_touches == []
+        expected = _sidecar_document(service.config.models_dir, model_id)
+        assert served == json.dumps(expected)
+        assert (document["dataset_id"], document["epsilon"]) == (
+            expected["dataset_id"], expected["epsilon"]
+        )
+
+    def test_changing_a_document_does_not_change_the_next(
+        self, service, released_model
+    ):
+        service.registry.put(
+            released_model, dataset_id="d1", method="kendall", model_id="m1",
+            extra={"k": 8.0, "nested": {"list": [1, 2]}},
+        )
+        first = service.model_info("m1")
+        pristine = json.loads(json.dumps(first))
+        first["schema"][0][1] = -1
+        first["schema"].append(["ghost", 2])
+        first["extra"]["k"] = "changed"
+        first["extra"]["nested"]["list"].append(3)
+        first["extra"]["added"] = True
+        assert service.model_info("m1") == pristine
+        assert service.registry.record("m1").to_dict() == pristine
+
+
+class TestMissPaths:
+    """A model that is not resident reads its sidecar once, and then
+    serves the documents a resident one does."""
+
+    def test_restarted_registry(self, tmp_path, released_model, monkeypatch):
+        first = ModelRegistry(tmp_path / "models")
+        first.put(released_model, dataset_id="d", method="kendall", model_id="m1")
+        before = first.record("m1").to_dict()
+
+        rebooted = ModelRegistry(tmp_path / "models")
+        spy = FileSpy(monkeypatch, tmp_path / "models")
+        plan = rebooted.get_plan("m1")
+        assert spy.sidecar_touches == [("open", "m1.json")]
+        assert spy.npz_loads == ["m1.npz"]
+        spy.reset()
+        assert rebooted.record("m1").to_dict() == before
+        assert rebooted.get_plan("m1") is plan
+        assert spy.sidecar_touches == [] and spy.npz_loads == []
+
+    def test_model_put_by_a_forked_child(self, tmp_path, released_model, monkeypatch):
+        import multiprocessing
+
+        models_dir = tmp_path / "models"
+        registry = ModelRegistry(models_dir)
+        child = multiprocessing.get_context("fork").Process(
+            target=_put_in_child, args=(models_dir, released_model)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+
+        expected = _sidecar_document(models_dir, "m1")
+        spy = FileSpy(monkeypatch, models_dir)
+        registry.get_plan("m1")
+        assert spy.sidecar_touches == [("open", "m1.json")]
+        spy.reset()
+        assert registry.record("m1").to_dict() == expected
+        assert spy.sidecar_touches == [] and spy.npz_loads == []
+
+    def test_evicted_model(self, tmp_path, released_model, monkeypatch):
+        misses = REGISTRY.counter("dpcopula_plan_cache_misses_total")
+        registry = ModelRegistry(tmp_path / "models", max_cached_models=1)
+        registry.put(released_model, dataset_id="d1", method="kendall", model_id="m1")
+        resident = registry.record("m1").to_dict()
+        registry.put(released_model, dataset_id="d2", method="kendall", model_id="m2")
+        misses_before = misses.value()
+
+        spy = FileSpy(monkeypatch, tmp_path / "models")
+        # record() of the evicted model: its sidecar only, nothing loaded,
+        # cached or reordered.
+        assert registry.record("m1").to_dict() == resident
+        assert spy.sidecar_touches == [("open", "m1.json")]
+        assert spy.npz_loads == []
+        assert registry.cached_models() == 1
+        assert misses.value() == misses_before
+        spy.reset()
+        assert registry.record("m2").dataset_id == "d2"  # still the resident one
+        assert spy.sidecar_touches == []
+        # The plan lookup reloads it: the sidecar once, with the NPZ.
+        registry.get_plan("m1")
+        assert spy.sidecar_touches == [("open", "m1.json")]
+        assert spy.npz_loads == ["m1.npz"]
+        assert misses.value() == misses_before + 1
+        spy.reset()
+        assert registry.record("m1").to_dict() == resident
+        assert spy.sidecar_touches == []
+
+    def test_restarted_service_serves_the_same_documents(
+        self, tmp_path, csv_text, monkeypatch
+    ):
+        from repro.service import ServiceConfig, SynthesisService
+        from tests.service.test_observability import upload_and_fit
+
+        config = ServiceConfig(data_dir=tmp_path / "data", epsilon_cap=3.0)
+        service = SynthesisService(config)
+        try:
+            model_id = upload_and_fit(service, csv_text).model_id
+            info = json.dumps(service.model_info(model_id))
+            samples = [
+                json.dumps(service.sample(model_id, n=25, seed=s)) for s in range(3)
+            ]
+        finally:
+            service.close()
+
+        restarted = SynthesisService(config)
+        try:
+            spy = FileSpy(monkeypatch, config.models_dir)
+            # The first request finds the model on disk: ``record`` reads
+            # the sidecar and the plan lookup loads it with the NPZ.
+            assert json.dumps(restarted.sample(model_id, n=25, seed=0)) == samples[0]
+            assert spy.npz_loads == [f"{model_id}.npz"]
+            spy.reset()
+            assert json.dumps(restarted.model_info(model_id)) == info
+            assert [
+                json.dumps(restarted.sample(model_id, n=25, seed=s)) for s in range(3)
+            ] == samples
+            assert spy.sidecar_touches == [] and spy.npz_loads == []
+        finally:
+            restarted.close()
+
+    def test_unknown_id_is_a_key_error_on_every_path(self, registry, released_model):
+        registry.put(released_model, dataset_id="d", method="kendall", model_id="m1")
+        for lookup in (registry.record, registry.get, registry.get_plan):
+            with pytest.raises(KeyError, match="no model registered under id 'nope'"):
+                lookup("nope")
+
+
+_GOOD_SIDECAR = {
+    "model_id": "bad",
+    "dataset_id": "d",
+    "method": "kendall",
+    "epsilon": 1.0,
+    "n_records": 200,
+    "schema": [["a", 3], ["b", 4]],
+    "created_at": 1.5,
+    "format_version": MODEL_FORMAT_VERSION,
+    "extra": {},
+}
+
+
+def _without(field):
+    return lambda good: {key: value for key, value in good.items() if key != field}
+
+
+#: Sidecar payloads ``ModelRecord.from_dict`` must refuse, by kind.
+_MALFORMED_PAYLOADS = {
+    "missing-method": _without("method"),
+    "missing-schema": _without("schema"),
+    "null-epsilon": lambda good: {**good, "epsilon": None},
+    "text-n-records": lambda good: {**good, "n_records": "many"},
+    "schema-of-numbers": lambda good: {**good, "schema": [1, 2]},
+    "null-extra": lambda good: {**good, "extra": None},
+    "list-not-object": lambda good: [good],
+    "string-not-object": lambda good: "bad",
+    "null-not-object": lambda good: None,
+}
+
+
+@pytest.fixture(params=sorted(_MALFORMED_PAYLOADS) + ["not-json"])
+def bad_sidecar(request, tmp_path, released_model):
+    """A models dir holding one good model and one malformed sidecar,
+    ``bad.json``, beside a copy of the good model's NPZ."""
+    models_dir = tmp_path / "data" / "models"
+    ModelRegistry(models_dir).put(
+        released_model, dataset_id="d", method="kendall", model_id="good"
+    )
+    if request.param == "not-json":
+        text = '{"model_id": "bad", '
+    else:
+        good = json.loads((models_dir / "good.json").read_text())
+        build = _MALFORMED_PAYLOADS[request.param]
+        text = json.dumps(build({**good, "model_id": "bad"}))
+    (models_dir / "bad.npz").write_bytes((models_dir / "good.npz").read_bytes())
+    (models_dir / "bad.json").write_text(text)
+    return models_dir
+
+
+class TestMalformedSidecar:
+    """One malformed sidecar hides no other model and is named when looked up."""
+
+    @pytest.mark.parametrize("kind", sorted(_MALFORMED_PAYLOADS))
+    def test_from_dict_names_the_model(self, kind):
+        assert ModelRecord.from_dict(_GOOD_SIDECAR).to_dict() == _GOOD_SIDECAR
+        payload = _MALFORMED_PAYLOADS[kind](_GOOD_SIDECAR)
+        with pytest.raises(ValueError, match="malformed record for model 'bad'"):
+            ModelRecord.from_dict(payload, "bad")
+        if isinstance(payload, dict):  # the payload names itself
+            with pytest.raises(ValueError, match="malformed record for model 'bad'"):
+                ModelRecord.from_dict(payload)
+
+    def test_list_skips_it_with_one_warning(self, bad_sidecar, caplog, monkeypatch):
+        models_dir = bad_sidecar
+        monkeypatch.setattr(logging.getLogger("dpcopula"), "propagate", True)
+        with caplog.at_level("WARNING", logger="dpcopula"):
+            listed = ModelRegistry(models_dir).list()
+        assert [r.model_id for r in listed] == ["good"]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.message for r in warnings] == ["skipping unreadable model sidecar"]
+        assert warnings[0].path == str(models_dir / "bad.json")
+
+    def test_every_lookup_names_the_model(self, bad_sidecar):
+        models_dir = bad_sidecar
+        registry = ModelRegistry(models_dir)
+        for lookup in (registry.record, registry.get_plan, registry.get):
+            with pytest.raises(ValueError, match="malformed record for model 'bad'"):
+                lookup("bad")
+        assert registry.cached_models() == 0
+        assert registry.get_plan("good").model_id == "good"
+
+    def test_service_lists_the_good_model_and_names_the_bad_one(
+        self, bad_sidecar, http_service
+    ):
+        models_dir = bad_sidecar
+        service, client = http_service
+        assert service.config.models_dir == models_dir
+        assert [m["model_id"] for m in service.list_models()] == ["good"]
+        status, body = client.get("/models")
+        assert status == 200
+        assert [m["model_id"] for m in body["models"]] == ["good"]
+        for status, body in (
+            client.get("/models/bad"),
+            client.post("/models/bad/sample", {"n": 5}),
+        ):
+            assert status == 500
+            assert "malformed record for model 'bad'" in body["error"]
+        status, _ = client.post("/models/good/sample", {"n": 5, "seed": 1})
+        assert status == 200
+
+    def test_utility_probe_scores_the_good_model(self, bad_sidecar, tmp_path):
+        from repro.telemetry.observatory import UtilityProbe
+
+        models_dir = bad_sidecar
+        document = UtilityProbe(
+            ModelRegistry(models_dir), tmp_path / "obs", sample_size=64
+        ).run_once()
+        assert document["models_total"] == 1
+        assert [m["model_id"] for m in document["models"]] == ["good"]

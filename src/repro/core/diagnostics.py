@@ -18,6 +18,7 @@ values), so printing them costs no privacy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -123,7 +124,10 @@ def plan_release(
         if subsample == "auto":
             n_hat = min(
                 n_records,
-                max(kendall_subsample_size(m, epsilon2), MIN_AUTO_SUBSAMPLE),
+                max(
+                    kendall_subsample_size(m, epsilon2, cap=n_records),
+                    MIN_AUTO_SUBSAMPLE,
+                ),
             )
         elif subsample == "full":
             n_hat = n_records
@@ -132,9 +136,10 @@ def plan_release(
                 f"unknown subsample policy {subsample!r}; expected 'auto' or 'full'"
             )
         tau_subsample = n_hat
-        coefficient_scale = kendall_tau_sensitivity(n_hat) / per_pair
+        sensitivity = kendall_tau_sensitivity(n_hat)
+        coefficient_scale = sensitivity / per_pair if per_pair > 0 else math.inf
     else:
-        l = min(required_partitions(m, epsilon2), max(1, n_records // 4))
+        l = required_partitions(m, epsilon2, cap=max(1, n_records // 4))
         mle_partitions = l
         coefficient_scale = (pairs * COEFFICIENT_DIAMETER) / (l * epsilon2)
 

@@ -18,6 +18,7 @@ coefficient scale.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -42,10 +43,18 @@ from repro.utils import RngLike, as_generator, check_positive, pairs_count
 MIN_AUTO_SUBSAMPLE = 1000
 
 
-def kendall_subsample_size(m: int, epsilon2: float) -> int:
-    """The paper's adequate subsample size ``n̂ > 50·m(m−1)/ε₂ − 1``."""
+def kendall_subsample_size(m: int, epsilon2: float, cap: Optional[int] = None) -> int:
+    """The paper's adequate subsample size ``n̂ > 50·m(m−1)/ε₂ − 1``, at
+    most ``cap``.
+
+    The size meets ``cap`` as a float, so an ``ε₂`` small enough to make
+    it infinite saturates at ``cap`` instead of overflowing.
+    """
     check_positive("epsilon2", epsilon2)
-    return int(np.ceil(50.0 * m * (m - 1) / epsilon2))
+    size = 50.0 * m * (m - 1) / epsilon2
+    if cap is not None and size >= cap:
+        return int(cap)
+    return int(np.ceil(size))
 
 
 def dp_kendall_correlation(
@@ -98,7 +107,8 @@ def dp_kendall_correlation(
     pairs = pairs_count(m)
 
     if subsample == "auto":
-        n_hat = min(n, max(kendall_subsample_size(m, epsilon2), MIN_AUTO_SUBSAMPLE))
+        n_hat = kendall_subsample_size(m, epsilon2, cap=n)
+        n_hat = min(n, max(n_hat, MIN_AUTO_SUBSAMPLE))
     elif subsample is None:
         n_hat = n
     else:
@@ -117,8 +127,8 @@ def dp_kendall_correlation(
         tau = kendall_tau_matrix(sample, method=tau_method, context=context)
 
     sensitivity = kendall_tau_sensitivity(n_hat)
-    per_pair_epsilon = epsilon2 / pairs
-    scale = sensitivity / per_pair_epsilon
+    per_pair_epsilon = epsilon2 / pairs  # 0.0 for a small enough subnormal ε₂
+    scale = sensitivity / per_pair_epsilon if per_pair_epsilon > 0 else math.inf
     with trace.span("laplace_noise", pairs=pairs):
         noisy_tau = tau.copy()
         upper = np.triu_indices(m, k=1)

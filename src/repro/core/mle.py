@@ -18,16 +18,23 @@ Per-block estimator: the paper fits the copula by maximizing Eq. (1) on
 the block's pseudo-copula data.  We support both the iterative pairwise
 MLE (``estimator="pairwise_mle"``) and its standard one-step
 approximation, the normal-scores correlation (``estimator="normal_scores"``,
-default — fully vectorized across blocks, which matters because ``l``
-routinely reaches the thousands).
+default).  ``l`` routinely reaches the thousands (6 250 blocks of 4 at
+25 000 × 16), so the normal scores are vectorized over the blocks of one
+fixed-size chunk at a time and each chunk is folded into a running sum,
+so the average is bitwise the one the whole ``(l, m, m)`` tensor of
+estimates would give.  The step allocates a few MB whatever ``l`` and
+``n`` while one block fits a chunk (``b·m`` and ``m²`` at most
+``_CHUNK_FLOATS``); a larger block, as when a large ``ε₂`` or a small
+``l`` leaves few blocks, is processed alone, in memory of order ``b·m``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import List, Optional
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtri
 
 from repro.parallel import ExecutionContext, resolve_context
 from repro.telemetry import trace
@@ -39,38 +46,67 @@ from repro.utils import RngLike, as_generator, check_positive, pairs_count
 COEFFICIENT_DIAMETER = 2.0  # Λ: correlation coefficients live in [-1, 1]
 _PAPER_PARTITION_CONSTANT = 0.025
 
+#: Floats the largest array of one chunk of blocks may hold: its
+#: gathered rows (blocks × b × m) or its estimates (blocks × m × m).
+_CHUNK_FLOATS = 1 << 17
 
-def required_partitions(m: int, epsilon2: float) -> int:
-    """The paper's lower bound ``l > C(m,2) / (0.025·ε₂)``."""
+
+def required_partitions(m: int, epsilon2: float, cap: Optional[int] = None) -> int:
+    """The paper's lower bound ``l > C(m,2) / (0.025·ε₂)``, at most ``cap``.
+
+    The bound meets ``cap`` as a float, so an ``ε₂`` small enough to
+    make it infinite saturates at ``cap`` instead of overflowing.
+    """
     check_positive("epsilon2", epsilon2)
-    return int(np.ceil(pairs_count(m) / (_PAPER_PARTITION_CONSTANT * epsilon2)))
+    scaled = _PAPER_PARTITION_CONSTANT * epsilon2  # 0.0 for a subnormal ε₂
+    bound = pairs_count(m) / scaled if scaled > 0 else math.inf
+    if cap is not None and bound >= cap:
+        return int(cap)
+    return int(np.ceil(bound))
 
 
 def _blockwise_normal_scores(blocks: np.ndarray) -> np.ndarray:
-    """Normal-scores correlation for every block at once.
+    """Normal-scores correlation for every block of a chunk at once.
 
-    ``blocks`` has shape ``(l, b, m)``; returns ``(l, m, m)``.
+    ``blocks`` has shape ``(c, b, m)``; returns ``(c, m, m)``.
     Ranks are computed within each block (keeping blocks disjoint, as the
-    sensitivity argument requires).
+    sensitivity argument requires), and rank ``r`` scores
+    ``Φ⁻¹((r + 1)/(b + 1))``, read from a table of the ``b`` scores
+    (``ndtri`` is the kernel of ``scipy.stats.norm.ppf``, without its
+    per-call argument handling).
     """
-    l, b, m = blocks.shape
+    c, b, m = blocks.shape
     order = np.argsort(blocks, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    grid = np.arange(b)[None, :, None]
-    np.put_along_axis(ranks, order, np.broadcast_to(grid, (l, b, m)).copy(), axis=1)
-    u = (ranks + 1.0) / (b + 1.0)
-    z = sps.norm.ppf(u)
-    z = z - z.mean(axis=1, keepdims=True)
-    cov = np.einsum("lbi,lbj->lij", z, z) / b
-    std = np.sqrt(np.einsum("lii->li", cov))
-    denom = np.einsum("li,lj->lij", std, std)
+    scores = ndtri((np.arange(b) + 1.0) / (b + 1.0))
+    z = np.empty(blocks.shape)
+    np.put_along_axis(z, order, scores[None, :, None], axis=1)
+    z -= z.mean(axis=1, keepdims=True)
+    corr = np.einsum("lbi,lbj->lij", z, z)
+    corr /= b
+    std = np.sqrt(np.einsum("lii->li", corr))
+    # A zero (or NaN) denominator leaves a non-finite quotient, zeroed
+    # below, so no mask is needed for it.
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 0, cov / denom, 0.0)
-    identity = np.broadcast_to(np.eye(m), (l, m, m)).copy()
-    corr = np.where(np.isfinite(corr), corr, identity)
-    for matrix in corr:
-        np.fill_diagonal(matrix, 1.0)
+        corr /= np.einsum("li,lj->lij", std, std)
+    corr[~np.isfinite(corr)] = 0.0
+    corr.reshape(c, m * m)[:, :: m + 1] = 1.0
     return corr
+
+
+def _chunks(l: int, block_size: int, m: int) -> List[slice]:
+    """The blocks in order, cut into runs whose gathered rows
+    (blocks × b × m) and estimates (blocks × m × m) fit ``_CHUNK_FLOATS``;
+    a block that alone exceeds it is a run of its own."""
+    step = max(1, _CHUNK_FLOATS // (m * max(block_size, m)))
+    return [slice(start, min(start + step, l)) for start in range(0, l, step)]
+
+
+def _gather(
+    values: np.ndarray, rows: np.ndarray, block_size: int, blocks: slice
+) -> np.ndarray:
+    """The ``(c, b, m)`` float tensor of a run of blocks."""
+    chunk = values[rows[blocks.start * block_size : blocks.stop * block_size]]
+    return np.asarray(chunk, dtype=float).reshape(-1, block_size, values.shape[1])
 
 
 def _block_mle_task(task: int, shared: np.ndarray) -> np.ndarray:
@@ -81,6 +117,43 @@ def _block_mle_task(task: int, shared: np.ndarray) -> np.ndarray:
     """
     pseudo = pseudo_copula_transform(shared[task])
     return copula_mle_matrix(pseudo)
+
+
+def _block_average(
+    values: np.ndarray,
+    rows: np.ndarray,
+    block_size: int,
+    estimator: str,
+    context: Optional[ExecutionContext] = None,
+) -> np.ndarray:
+    """The mean of the block estimates, one chunk of blocks at a time.
+
+    Block ``k`` is the rows ``rows[k·b : (k+1)·b]`` of ``values``.  Each
+    chunk's estimates are added behind the running sum, which keeps the
+    additions in the order one ``np.add.reduce(axis=0)`` over every block
+    makes: the result is bitwise the mean of the whole ``(l, m, m)``
+    tensor of estimates, which is never built.
+    """
+    l = len(rows) // block_size
+    chunks = _chunks(l, block_size, values.shape[1])
+    if estimator == "normal_scores":
+        estimates = (
+            _blockwise_normal_scores(_gather(values, rows, block_size, blocks))
+            for blocks in chunks
+        )
+    else:
+        matrices = resolve_context(context).map_tasks(
+            _block_mle_task,
+            range(l),
+            shared=_gather(values, rows, block_size, slice(0, l)),
+        )
+        estimates = (np.asarray(matrices[blocks]) for blocks in chunks)
+    total = None
+    for chunk in estimates:
+        if total is not None:
+            chunk = np.concatenate((total[None], chunk))
+        total = np.add.reduce(chunk, axis=0)
+    return total / l
 
 
 def dp_mle_correlation(
@@ -104,38 +177,41 @@ def dp_mle_correlation(
         Number of disjoint blocks; ``None`` uses the paper's bound capped
         so each block keeps at least ``min_block_size`` records.
     estimator:
-        ``"normal_scores"`` (vectorized one-step MLE) or
-        ``"pairwise_mle"`` (iterative bivariate likelihood maximization).
+        ``"normal_scores"`` (one-step MLE, vectorized over a chunk of
+        blocks at a time) or ``"pairwise_mle"`` (iterative bivariate
+        likelihood maximization).
     context:
         :class:`~repro.parallel.ExecutionContext` over which the
         per-block ``pairwise_mle`` fits fan out (``None``: serial) —
         the blocks are disjoint by construction, so they are
         independent tasks.
-        ``normal_scores`` is already vectorized across blocks and
-        ignores it.
+        ``normal_scores`` is vectorized across blocks and ignores it.
 
     Returns
     -------
     A positive-definite correlation matrix with unit diagonal.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected an (n, m) matrix, got shape {values.shape}")
     n, m = values.shape
     if m < 2:
         return np.eye(m)
     check_positive("epsilon2", epsilon2)
+    if estimator not in ("normal_scores", "pairwise_mle"):
+        raise ValueError(
+            f"unknown estimator {estimator!r}; expected 'normal_scores' or "
+            "'pairwise_mle'"
+        )
     gen = as_generator(rng)
     pairs = pairs_count(m)
 
-    if l is None:
-        l = required_partitions(m, epsilon2)
-    l = int(l)
+    # Not enough data for the paper's bound: use the largest feasible l.
+    # (The noise scale Λ·C(m,2)/(l·ε₂) then honestly reflects the cost.)
     max_l = max(1, n // min_block_size)
-    if l > max_l:
-        # Not enough data for the paper's bound: use the largest feasible l.
-        # (The noise scale Λ·C(m,2)/(l·ε₂) then honestly reflects the cost.)
-        l = max_l
+    if l is None:
+        l = required_partitions(m, epsilon2, cap=max_l)
+    l = min(int(l), max_l)
     if l < 1:
         raise ValueError("need at least one partition")
 
@@ -146,25 +222,10 @@ def dp_mle_correlation(
             f"estimation; reduce l (= {l}) or provide more data"
         )
     with trace.span("partition", l=l, block_size=block_size):
-        usable = l * block_size
-        permutation = gen.permutation(n)[:usable]
-        blocks = values[permutation].reshape(l, block_size, m)
+        rows = gen.permutation(n)[: l * block_size]
 
     with trace.span("block_estimates", estimator=estimator, l=l):
-        if estimator == "normal_scores":
-            block_estimates = _blockwise_normal_scores(blocks)
-        elif estimator == "pairwise_mle":
-            matrices = resolve_context(context).map_tasks(
-                _block_mle_task, range(l), shared=blocks
-            )
-            block_estimates = np.stack(matrices)
-        else:
-            raise ValueError(
-                f"unknown estimator {estimator!r}; expected 'normal_scores' or "
-                "'pairwise_mle'"
-            )
-
-    averaged = block_estimates.mean(axis=0)
+        averaged = _block_average(values, rows, block_size, estimator, context)
 
     with trace.span("laplace_noise", pairs=pairs):
         scale = (pairs * COEFFICIENT_DIAMETER) / (l * epsilon2)

@@ -170,6 +170,11 @@ class ModelRegistry:
         self.max_cached_models = max_cached_models
         self._lock = threading.RLock()
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
+        # One NPZ load at a time: ``np.load`` parses each array header
+        # with ``ast``, and CPython 3.11 can raise ``SystemError`` ("AST
+        # constructor recursion depth mismatch") when threads do that at
+        # once.  Loads happen only on a cache miss.
+        self._load_lock = threading.Lock()
 
     def _npz_path(self, model_id: str) -> Path:
         return self.directory / f"{model_id}.npz"
@@ -250,14 +255,16 @@ class ModelRegistry:
     def _entry(self, model_id: str) -> _CacheEntry:
         """The id's cache entry, loading + compiling on miss (LRU touch).
 
-        A miss reads the sidecar once, then the NPZ.
+        A miss reads the sidecar once, then the NPZ (under the load
+        lock, outside the cache lock).
         """
         with self._lock:
             entry = self._hit_locked(model_id)
         if entry is not None:
             return entry
         record = self._read_record(model_id)
-        model = ReleasedModel.load(self._npz_path(model_id))
+        with self._load_lock:
+            model = ReleasedModel.load(self._npz_path(model_id))
         with self._lock:
             # Another thread may have installed the model while we read
             # its files; keep its entry (and plan identity).

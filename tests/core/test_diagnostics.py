@@ -32,6 +32,17 @@ class TestPlanRelease:
         assert plan.mle_partitions is not None
         assert plan.coefficient_noise_scale > 0
 
+    def test_a_tiny_epsilon2_plans_the_capped_sizes(self):
+        """ε₂ ≈ 1e-306 overflows both paper rules; they saturate at n."""
+        kendall, mle = compare_methods(1.0, 25_000, 16, k=1e306)
+        assert kendall.tau_subsample == 25_000
+        assert mle.mle_partitions == 25_000 // 4
+
+    def test_a_per_pair_epsilon_that_rounds_to_zero_plans_infinite_noise(self):
+        """ε₂ ≈ 1e-323 over 120 pairs rounds to 0, as in the fit."""
+        for plan in compare_methods(1e-15, 25_000, 16, k=1e308):
+            assert plan.coefficient_noise_scale == float("inf")
+
     def test_mle_noisier_than_kendall_at_moderate_n(self):
         """The closed-form version of Figure 6's conclusion."""
         kendall, mle = compare_methods(0.5, 20_000, 4)

@@ -22,8 +22,29 @@ class TestSubsampleSize:
         with pytest.raises(ValueError):
             kendall_subsample_size(4, 0.0)
 
+    @pytest.mark.parametrize("epsilon2", [1e-306, 1e-310, 5e-324])
+    def test_an_infinite_size_saturates_at_the_cap(self, epsilon2):
+        assert kendall_subsample_size(16, epsilon2, cap=25_000) == 25_000
+
+    def test_the_cap_is_the_minimum_for_ordinary_epsilon(self):
+        for epsilon2 in (1e-3, 0.01, 0.1, 1 / 9, 1.0, 7.3, 1e6):
+            for cap in (2, 999, 1000, 2800, 25_000, 10**9):
+                for m in (2, 8, 16):
+                    assert kendall_subsample_size(m, epsilon2, cap=cap) == min(
+                        kendall_subsample_size(m, epsilon2), cap
+                    )
+
 
 class TestDPKendallCorrelation:
+    @pytest.mark.parametrize("epsilon2", [1e-306, 1e-310, 5e-324])
+    def test_tiny_epsilon_fits_on_every_record(self, epsilon2):
+        """A size that overflows saturates at n (and a per-pair ε that
+        underflows to 0 gives an infinite noise scale, not a crash)."""
+        sample = np.random.default_rng(4).standard_normal((400, 4))
+        matrix = dp_kendall_correlation(sample, epsilon2, rng=5)
+        assert np.allclose(np.diag(matrix), 1.0)
+        assert is_positive_definite(matrix)
+
     def test_output_is_pd_correlation(self, synthetic_4d):
         matrix = dp_kendall_correlation(synthetic_4d.values, 1.0, rng=0)
         assert matrix.shape == (4, 4)

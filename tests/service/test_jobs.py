@@ -404,6 +404,27 @@ class TestServiceCore:
         for got, want in zip(served.margin_counts, expected.margin_counts):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("method", ["kendall", "mle"])
+    def test_a_tiny_epsilon2_fits_and_releases(self, service, rng, method):
+        """ε = 1 at k = 1e306 leaves ε₂ ≈ 1e-306, whose n̂ and l bounds
+        overflow on four attributes; they saturate at the data size, so
+        the charged fit releases instead of failing after its noise."""
+        values = rng.integers(0, 5, (300, 4))
+        service.upload_dataset(
+            "wide",
+            "a[5],b[5],c[5],d[5]\n"
+            + "\n".join(",".join(map(str, row)) for row in values.tolist())
+            + "\n",
+        )
+        job = service.submit_fit(
+            {"dataset_id": "wide", "method": method, "epsilon": 1.0, "k": 1e306,
+             "seed": 5}
+        )
+        done = service.worker.wait(job["job_id"], timeout=60.0)
+        assert done.state == "done", done.error
+        assert service.sample(done.model_id, n=10, seed=1)["n_records"] == 10
+        assert service.accountant.spent("wide") == pytest.approx(1.0)
+
     def test_a_fit_leaves_only_its_record_in_the_journal(self, service, csv_text):
         service.upload_dataset("demo", csv_text)
         job = service.submit_fit({"dataset_id": "demo", "epsilon": 1.0, "seed": 0})

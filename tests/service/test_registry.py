@@ -344,6 +344,93 @@ class TestMissPaths:
         assert rebooted.get_plan("m1") is plan
         assert spy.sidecar_touches == [] and spy.npz_loads == []
 
+    def test_threads_load_one_npz_at_a_time(
+        self, tmp_path, released_model, monkeypatch
+    ):
+        """``np.load`` parses each array header with ``ast``, which
+        CPython 3.11 can fail (``SystemError``) on two threads at once,
+        so four threads missing the cache together load in turn."""
+        import threading
+        import time
+
+        first = ModelRegistry(tmp_path / "models")
+        ids = [f"m{i}" for i in range(4)]
+        for model_id in ids:
+            first.put(released_model, dataset_id="d", method="kendall",
+                      model_id=model_id)
+        registry = ModelRegistry(tmp_path / "models")
+        load, counting = ReleasedModel.load.__func__, threading.Lock()
+        loading, most = [], []
+
+        def counting_load(cls, path):
+            with counting:
+                loading.append(path)
+                most.append(len(loading))
+            try:
+                time.sleep(0.02)  # long enough for the others to arrive
+                return load(cls, path)
+            finally:
+                with counting:
+                    loading.remove(path)
+
+        monkeypatch.setattr(ReleasedModel, "load", classmethod(counting_load))
+        start = threading.Barrier(len(ids))
+        plans = {}
+
+        def worker(model_id):
+            start.wait()
+            plans[model_id] = registry.get_plan(model_id).model_id
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert plans == {model_id: model_id for model_id in ids}
+        assert len(most) == len(ids) and max(most) == 1
+
+    def test_threads_missing_the_cache_at_once_serve_their_own_models(
+        self, tmp_path, released_model
+    ):
+        """Eight threads over four models and a two-model cache, each
+        pairing ``record`` with ``get_plan``, so most lookups load."""
+        import sys
+        import threading
+
+        first = ModelRegistry(tmp_path / "models")
+        ids = [f"m{i}" for i in range(4)]
+        for i, model_id in enumerate(ids):
+            first.put(released_model, dataset_id=f"d{i}", method="kendall",
+                      model_id=model_id)
+        registry = ModelRegistry(tmp_path / "models", max_cached_models=2)
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(40):
+                    model_id = ids[(offset + step) % len(ids)]
+                    record = registry.record(model_id)
+                    plan = registry.get_plan(model_id)
+                    if (record.model_id, plan.model_id) != (model_id, model_id):
+                        errors.append((model_id, record.model_id, plan.model_id))
+                    if registry.record(model_id).dataset_id != f"d{model_id[1:]}":
+                        errors.append((model_id, "dataset"))
+            except Exception as exc:  # reported below, with the thread's id
+                errors.append((offset, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
     def test_model_put_by_a_forked_child(self, tmp_path, released_model, monkeypatch):
         import multiprocessing
 

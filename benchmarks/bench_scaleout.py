@@ -43,7 +43,6 @@ import numpy as np
 
 from bench_sampling import make_model
 from repro.service import ModelRegistry, PreforkServer, ServiceConfig
-from repro.service.prefork import SUPPORTS_REUSE_PORT
 
 
 def _post_sample(port: int, model_id: str, n: int, seed: int):
@@ -223,7 +222,6 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "cpu_count": cpu_count,
         "cpu_limited": cpu_limited,
-        "supports_reuse_port": SUPPORTS_REUSE_PORT,
         "workload": {
             "m": args.m,
             "requests": requests,

@@ -336,7 +336,7 @@ def _add_setting_flag(parser, flag: str, setting) -> None:
         parser.add_argument(flag, dest=setting.name, action=action, help=meta["help"])
         return
     required = setting.default is dataclasses.MISSING
-    default = None if required or meta["resolve"] else setting.default
+    default = None if required else setting.default
     notes = [] if default is None else ["default %(default)s"]
     if meta["zero_off"]:
         notes.append("0 turns it off")
@@ -579,19 +579,22 @@ def _serve(args) -> int:
 
 def _serve_prefork(args, config) -> int:
     """Run the pre-fork fleet: supervisor in this process, N workers."""
-    from repro.service.prefork import SUPPORTS_REUSE_PORT, PreforkServer
+    from repro.service.prefork import PreforkServer
 
-    supervisor = PreforkServer(
-        config,
-        host=args.host,
-        port=args.port,
-        quiet=not args.verbose,
-    )
+    try:
+        supervisor = PreforkServer(
+            config,
+            host=args.host,
+            port=args.port,
+            quiet=not args.verbose,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     supervisor.start()
-    mode = "SO_REUSEPORT" if SUPPORTS_REUSE_PORT else "inherited listener"
     print(
         f"synthesis service listening on http://{args.host}:{supervisor.port} "
-        f"({config.workers} workers, {mode})"
+        f"({config.workers} workers)"
     )
     print(f"data directory: {args.data_dir} (ε cap {args.epsilon_cap:g}/dataset)")
     print(f"worker 0 owns fitting ({args.fit_workers} fit worker(s))")

@@ -10,10 +10,11 @@ distribution (Theorem 3.3).
 
 These diagnostics make the theorem *measurable*:
 
-* :func:`margin_distance` — sup-norm (Kolmogorov) distance between an
-  original and a synthetic marginal CDF;
-* :func:`tau_matrix_error` — max absolute deviation between the Kendall
-  matrices of original and synthetic data;
+* :func:`max_margin_distance` — worst sup-norm (Kolmogorov) distance
+  between an original and a synthetic marginal CDF
+  (:func:`~repro.queries.metrics.margin_kolmogorov` per attribute);
+* :func:`~repro.queries.metrics.pairwise_tau_error` — max absolute
+  deviation between the Kendall matrices of original and synthetic data;
 * :func:`joint_cdf_distance` — max deviation of the empirical joint CDFs
   over random evaluation points;
 * :func:`run_convergence_study` — all three as a function of ``n``.
@@ -27,41 +28,15 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.stats.kendall import kendall_tau_matrix
+from repro.queries.metrics import margin_kolmogorov, pairwise_tau_error
 from repro.utils import RngLike, as_generator
-
-
-def margin_distance(original: Dataset, synthetic: Dataset, index: int) -> float:
-    """Kolmogorov distance between one attribute's original/synthetic CDFs."""
-    domain = original.schema[index].domain_size
-    original_cdf = np.cumsum(original.marginal_counts(index)) / original.n_records
-    synthetic_counts = np.bincount(synthetic.column(index), minlength=domain)
-    synthetic_cdf = np.cumsum(synthetic_counts) / max(synthetic.n_records, 1)
-    return float(np.abs(original_cdf - synthetic_cdf).max())
 
 
 def max_margin_distance(original: Dataset, synthetic: Dataset) -> float:
     """Worst Kolmogorov distance over all attributes."""
     return max(
-        margin_distance(original, synthetic, j) for j in range(original.dimensions)
+        margin_kolmogorov(original, synthetic, j) for j in range(original.dimensions)
     )
-
-
-def tau_matrix_error(
-    original: Dataset,
-    synthetic: Dataset,
-    max_records: int = 4000,
-    rng: RngLike = 0,
-) -> float:
-    """Max absolute entry difference of the two Kendall's-tau matrices.
-
-    Both matrices are estimated on subsamples of at most ``max_records``
-    rows so the diagnostic stays O(m² · max_records log max_records).
-    """
-    gen = as_generator(rng)
-    a = original.sample(max_records, gen).values
-    b = synthetic.sample(max_records, gen).values
-    return float(np.abs(kendall_tau_matrix(a) - kendall_tau_matrix(b)).max())
 
 
 def joint_cdf_distance(
@@ -122,7 +97,7 @@ def run_convergence_study(
             ConvergencePoint(
                 n_records=int(n),
                 margin_sup_distance=max_margin_distance(original, synthetic),
-                tau_error=tau_matrix_error(original, synthetic, rng=gen),
+                tau_error=pairwise_tau_error(original, synthetic, rng=gen),
                 joint_cdf_sup_distance=joint_cdf_distance(original, synthetic, rng=gen),
             )
         )

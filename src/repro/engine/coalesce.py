@@ -8,14 +8,13 @@ against the same plan into one
 *leader/follower* scheme with leadership hand-off:
 
 * the first request to arrive for a model id becomes the **leader**:
-  it optionally holds the batch open for one coalescing window, drains
-  the queue into a batch (which always contains its own request) and
-  executes it;
+  it drains the queue into a batch (which always contains its own
+  request) and executes it at once;
 * requests arriving while a batch executes park as **followers**; when
   the leader finishes it promotes the oldest parked follower to lead
   the next batch, so a busy key forms back-to-back batches with zero
-  idle time even when ``window_seconds`` is 0 — and no single request
-  is ever pinned serving other people's batches after its own is done.
+  idle time — and no single request is ever pinned serving other
+  people's batches after its own is done.
 
 Determinism: each request carries its *own* ``np.random.Generator``,
 and ``sample_batch`` draws and matmuls per request — so a request's
@@ -23,17 +22,14 @@ records are bitwise identical whether it was coalesced or served alone.
 The batch only fuses the slice-stable elementwise stages.
 
 Resilience: the queue is bounded (:class:`EngineOverloadedError`,
-mapped to HTTP 429 upstream), waits are deadline-aware (an ambient
-:func:`~repro.resilience.deadlines.current_deadline` shortens the
-coalescing window and bounds the follower park; an abandoning follower
-removes itself and passes leadership on), and a failed batch poisons
-only the requests in it.
+mapped to HTTP 429 upstream), one batch holds at most
+:data:`MAX_BATCH_RECORDS` records, and a failed batch poisons only the
+requests in it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -41,12 +37,16 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.engine.plan import SamplerPlan
-from repro.resilience.deadlines import current_deadline
 from repro.telemetry import get_logger, metrics
 
-__all__ = ["EngineOverloadedError", "RequestCoalescer"]
+__all__ = ["EngineOverloadedError", "MAX_BATCH_RECORDS", "RequestCoalescer"]
 
 _logger = get_logger("engine.coalesce")
+
+#: Record budget of one executed batch: a drain stops adding requests
+#: once the batch would exceed it (the first request is always taken,
+#: whatever its size), which bounds the work arrays one draw holds.
+MAX_BATCH_RECORDS = 262_144
 
 _BATCH_SIZE = metrics.REGISTRY.histogram(
     "dpcopula_coalesced_batch_size",
@@ -90,14 +90,11 @@ class _PendingRequest:
 class _KeyState:
     """Queue + leadership flag for one model id."""
 
-    __slots__ = ("queue", "leader_active", "arrivals")
+    __slots__ = ("queue", "leader_active")
 
-    def __init__(self, lock: threading.Lock):
+    def __init__(self):
         self.queue: Deque[_PendingRequest] = deque()
         self.leader_active = False
-        # Notified on every enqueue so a window-holding leader can flush
-        # early once the batch is full.
-        self.arrivals = threading.Condition(lock)
 
 
 class RequestCoalescer:
@@ -105,40 +102,18 @@ class RequestCoalescer:
 
     Parameters
     ----------
-    window_seconds:
-        How long a leader holds the batch open for companions before
-        executing.  ``0`` (the default) never waits — requests still
-        coalesce whenever they arrive while a batch is executing, so
-        throughput scales with load at zero idle-latency cost.
-    max_batch_records:
-        Record budget per executed batch; a drain stops adding requests
-        once the batch would exceed it (the first request is always
-        taken, whatever its size).
     max_pending_requests:
         Bound on requests parked across all keys.  Arrivals beyond it
         are refused with :class:`EngineOverloadedError`.  ``None``
         disables the bound.
     """
 
-    def __init__(
-        self,
-        window_seconds: float = 0.0,
-        max_batch_records: int = 262_144,
-        max_pending_requests: Optional[int] = 256,
-    ):
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
-        if max_batch_records < 1:
-            raise ValueError(
-                f"max_batch_records must be >= 1, got {max_batch_records}"
-            )
+    def __init__(self, max_pending_requests: Optional[int] = 256):
         if max_pending_requests is not None and max_pending_requests < 1:
             raise ValueError(
                 f"max_pending_requests must be >= 1 or None, "
                 f"got {max_pending_requests}"
             )
-        self.window_seconds = float(window_seconds)
-        self.max_batch_records = int(max_batch_records)
         self.max_pending_requests = (
             None if max_pending_requests is None else int(max_pending_requests)
         )
@@ -174,10 +149,9 @@ class RequestCoalescer:
                 )
             state = self._states.get(key)
             if state is None:
-                state = self._states[key] = _KeyState(self._lock)
+                state = self._states[key] = _KeyState()
             state.queue.append(pending)
             self._total_pending += 1
-            state.arrivals.notify_all()
             is_leader = not state.leader_active
             if is_leader:
                 state.leader_active = True
@@ -201,7 +175,6 @@ class RequestCoalescer:
         itself — never neither.
         """
         try:
-            self._hold_window(state)
             with self._lock:
                 batch = self._drain_locked(state)
             if batch:
@@ -212,36 +185,13 @@ class RequestCoalescer:
         with self._lock:
             self._pass_leadership_locked(key, state)
 
-    def _hold_window(self, state: _KeyState) -> None:
-        """Hold the batch open for up to the coalescing window.
-
-        Deadline-aware: an ambient request deadline caps the hold so
-        coalescing can never push a request past its budget, and a full
-        batch flushes immediately.
-        """
-        if self.window_seconds <= 0:
-            return
-        window = self.window_seconds
-        deadline = current_deadline()
-        if deadline is not None:
-            window = min(window, deadline.remaining())
-        flush_at = time.monotonic() + window
-        with self._lock:
-            while True:
-                if sum(r.n for r in state.queue) >= self.max_batch_records:
-                    return
-                remaining = flush_at - time.monotonic()
-                if remaining <= 0:
-                    return
-                state.arrivals.wait(remaining)
-
     def _drain_locked(self, state: _KeyState) -> List[_PendingRequest]:
         """Pop the next batch (caller holds the lock)."""
         batch: List[_PendingRequest] = []
         records = 0
         while state.queue:
             request = state.queue[0]
-            if batch and records + request.n > self.max_batch_records:
+            if batch and records + request.n > MAX_BATCH_RECORDS:
                 break
             batch.append(state.queue.popleft())
             records += request.n
@@ -304,44 +254,10 @@ class RequestCoalescer:
         pending: _PendingRequest,
     ) -> None:
         """Park until a result arrives or the leadership baton does."""
-        deadline = current_deadline()
-        while True:
-            if deadline is None:
-                pending.event.wait()
-            else:
-                while not pending.event.wait(timeout=max(deadline.remaining(), 0.001)):
-                    try:
-                        # Raises DeadlineExceeded once the budget is
-                        # spent (and never returns normally after that).
-                        deadline.check("coalesced sample")
-                    except BaseException:
-                        self._abandon(key, state, pending)
-                        raise
-            if pending.result is not None or pending.error is not None:
-                return
-            if pending.lead:
-                # Promoted: our request is still at the head of the
-                # queue, so leading drains it into our own batch.
-                pending.lead = False
-                pending.event.clear()
-                self._lead(key, state, plan)
-                return
-
-    def _abandon(
-        self, key: str, state: _KeyState, pending: _PendingRequest
-    ) -> None:
-        """Withdraw a deadline-expired follower without stranding peers.
-
-        If the request was already drained into an executing batch the
-        leader will still compute (and drop) its result — wasted work
-        but harmless.  If we held the leadership baton, pass it on.
-        """
-        with self._lock:
-            try:
-                state.queue.remove(pending)
-                self._total_pending -= 1
-            except ValueError:
-                pass
-            if pending.lead:
-                pending.lead = False
-                self._pass_leadership_locked(key, state)
+        pending.event.wait()
+        if pending.lead:
+            # Promoted: our request is still at the head of the queue,
+            # so leading drains it into our own batch.
+            pending.lead = False
+            pending.event.clear()
+            self._lead(key, state, plan)

@@ -125,14 +125,22 @@ def _install_shared(shared: Any) -> None:
     _PROCESS_SHARED = shared
 
 
-def _run_tasks(
+class _Installed:
+    """``shared`` of a process-pool chunk: read the installed payload.
+
+    A class pickles by name, so the worker sees this same object.
+    """
+
+
+def _run_chunk(
     fn: Callable[[Any, Any], Any],
     chunk: Sequence[Any],
     shared: Any,
     deadline: Optional[Deadline],
     context_ids: Optional[dict] = None,
-) -> List[Any]:
-    """The shared chunk body: fault point, per-task deadline checks.
+    traced: bool = False,
+) -> Any:
+    """Run one contiguous chunk of tasks: fault point, deadline checks.
 
     The ``parallel.chunk`` fault point runs *inside the worker*, which
     is what lets the chaos suite SIGKILL a pool worker mid-fan-out; the
@@ -140,14 +148,31 @@ def _run_tasks(
     for hung/slow stages (a :class:`Deadline` pickles as its remaining
     budget, so process workers enforce it against their own clocks).
 
-    ``context_ids`` re-binds the dispatching caller's correlation ids
-    (request/job) inside the worker — contextvars don't cross pool
-    boundaries on their own — so every log line a pooled task emits
-    still carries the ids of the request that caused it.
+    ``shared`` is the payload itself, or :class:`_Installed` for the one
+    a process worker's initializer installed.  ``context_ids`` re-binds
+    the dispatching caller's correlation ids (request/job) inside the
+    worker — contextvars don't cross pool boundaries on their own — so
+    every log line a pooled task emits still carries the ids of the
+    request that caused it.
+
+    With ``traced``, the chunk runs under its own collected root
+    (``parallel.chunk``), since pool workers cannot see the caller's
+    trace, and returns ``(results, exported subtree)`` for the caller to
+    attach.  Timing is the only difference: the task bodies, their order
+    and their RNG streams are untouched, so traced runs stay
+    bitwise-identical to untraced ones.
     """
+    if shared is _Installed:
+        shared = _PROCESS_SHARED
+    if traced:
+        return trace.call_collected(
+            "parallel.chunk",
+            lambda: _run_chunk(fn, chunk, shared, deadline, context_ids),
+            tasks=len(chunk),
+        )
     if context_ids:
         with bind_context(**context_ids):
-            return _run_tasks(fn, chunk, shared, deadline)
+            return _run_chunk(fn, chunk, shared, deadline)
     faults.inject("parallel.chunk")
     results = []
     for task in chunk:
@@ -155,59 +180,6 @@ def _run_tasks(
             deadline.check("parallel.map_tasks task")
         results.append(fn(task, shared))
     return results
-
-
-def _run_chunk(
-    fn: Callable[[Any, Any], Any],
-    chunk: Sequence[Any],
-    deadline: Optional[Deadline] = None,
-    context_ids: Optional[dict] = None,
-) -> List[Any]:
-    """Execute one contiguous chunk of tasks against the installed payload."""
-    return _run_tasks(fn, chunk, _PROCESS_SHARED, deadline, context_ids)
-
-
-def _run_chunk_with_shared(
-    fn: Callable[[Any, Any], Any],
-    chunk: Sequence[Any],
-    shared: Any,
-    deadline: Optional[Deadline] = None,
-    context_ids: Optional[dict] = None,
-) -> List[Any]:
-    return _run_tasks(fn, chunk, shared, deadline, context_ids)
-
-
-# Traced twins of the chunk runners: pool workers cannot see the
-# caller's contextvars, so when a trace is active each chunk runs under
-# its own collected root (`parallel.chunk`) and ships the exported
-# subtree home with the results.  Timing is the only difference — the
-# task bodies, their order, and their RNG streams are untouched, so
-# traced runs stay bitwise-identical to untraced ones.
-def _run_chunk_traced(
-    fn: Callable[[Any, Any], Any],
-    chunk: Sequence[Any],
-    deadline: Optional[Deadline] = None,
-    context_ids: Optional[dict] = None,
-):
-    return trace.call_collected(
-        "parallel.chunk",
-        lambda: _run_tasks(fn, chunk, _PROCESS_SHARED, deadline, context_ids),
-        tasks=len(chunk),
-    )
-
-
-def _run_chunk_with_shared_traced(
-    fn: Callable[[Any, Any], Any],
-    chunk: Sequence[Any],
-    shared: Any,
-    deadline: Optional[Deadline] = None,
-    context_ids: Optional[dict] = None,
-):
-    return trace.call_collected(
-        "parallel.chunk",
-        lambda: _run_tasks(fn, chunk, shared, deadline, context_ids),
-        tasks=len(chunk),
-    )
 
 
 class ExecutionContext:
@@ -299,7 +271,7 @@ class ExecutionContext:
             if self.is_serial:
                 if deadline is None:
                     return [fn(task, shared) for task in tasks]
-                return _run_tasks(fn, tasks, shared, deadline)
+                return _run_chunk(fn, tasks, shared, deadline)
             chunks = self._chunk(tasks, chunk_size)
             workers = min(self.max_workers, len(chunks))
             _logger.debug(
@@ -318,34 +290,27 @@ class ExecutionContext:
             context_ids = current_context() or None
 
             def dispatch() -> List[Any]:
-                deadlines = [deadline] * len(chunks)
-                contexts = [context_ids] * len(chunks)
+                n = len(chunks)
                 if self.backend == "thread":
-                    runner = (
-                        _run_chunk_with_shared_traced
-                        if traced
-                        else _run_chunk_with_shared
+                    pool = ThreadPoolExecutor(max_workers=workers)
+                    payload = shared
+                else:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_install_shared,
+                        initargs=(shared,),
                     )
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        return list(
-                            pool.map(
-                                runner,
-                                [fn] * len(chunks),
-                                chunks,
-                                [shared] * len(chunks),
-                                deadlines,
-                                contexts,
-                            )
-                        )
-                runner = _run_chunk_traced if traced else _run_chunk
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_install_shared,
-                    initargs=(shared,),
-                ) as pool:
+                    payload = _Installed
+                with pool:
                     return list(
                         pool.map(
-                            runner, [fn] * len(chunks), chunks, deadlines, contexts
+                            _run_chunk,
+                            [fn] * n,
+                            chunks,
+                            [payload] * n,
+                            [deadline] * n,
+                            [context_ids] * n,
+                            [traced] * n,
                         )
                     )
 

@@ -171,11 +171,7 @@ class SynthesisService:
         # though over HTTP they rarely do (docs/PERFORMANCE.md).
         self.engine = SamplingEngine(
             self.registry.get_plan,
-            coalescer=RequestCoalescer(
-                window_seconds=config.coalesce_window_seconds,
-                max_batch_records=config.max_coalesced_records,
-                max_pending_requests=config.sample_queue_limit,
-            ),
+            coalescer=RequestCoalescer(config.sample_queue_limit),
         )
         self.journal = JobJournal(config.jobs_dir)
         # One stateless execution context serves every fit worker; each

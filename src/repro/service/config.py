@@ -55,7 +55,6 @@ def _setting(
     at_least: Optional[float] = None,
     above: Optional[float] = None,
     zero_off: bool = False,
-    resolve: Optional[Callable[[Any], Any]] = None,
     choices: Optional[Tuple[str, ...]] = None,
     metavar: Optional[str] = None,
 ) -> Any:
@@ -65,13 +64,11 @@ def _setting(
     range.  A setting with ``help`` is also a ``dpcopula serve`` flag,
     named ``flag`` (default ``--<field-name>``), parsed with ``type``
     and limited to ``choices``.  With ``zero_off``, ``0`` on the command
-    line means ``None`` (off).  With ``resolve``, the flag is unset
-    (``None``) by default and ``resolve`` turns its value into the
-    field's; otherwise the flag's default is the field's.
+    line means ``None`` (off).  The flag's default is the field's.
     """
     metadata = dict(
         help=help, flag=flag, type=type, at_least=at_least, above=above,
-        zero_off=zero_off, resolve=resolve, choices=choices, metavar=metavar,
+        zero_off=zero_off, choices=choices, metavar=metavar,
     )
     return field(default=default, metadata=metadata)
 
@@ -87,13 +84,6 @@ def _check_range(setting: Field, value: Any, label: str) -> None:
         raise ValueError(f"{label} must be >= {at_least}, got {value!r}")
     if above is not None and value <= above:
         raise ValueError(f"{label} must be > {above}, got {value!r}")
-
-
-def _resolve_workers(value: Optional[int]) -> int:
-    # prefork imports this module, so its resolver is imported at call time.
-    from repro.service.prefork import resolve_worker_count
-
-    return resolve_worker_count(value)
 
 
 @dataclass(frozen=True)
@@ -166,19 +156,6 @@ class ServiceConfig:
         flag="--request-timeout", type=float, above=0, zero_off=True,
         metavar="SECONDS",
     )
-    coalesce_window_seconds: float = _setting(
-        0.0,
-        "how long the sampling engine holds a batch open for concurrent sample "
-        "requests to join; 0 adds no idle wait, and requests still coalesce "
-        "while a batch executes",
-        flag="--coalesce-window", type=float, at_least=0, metavar="SECONDS",
-    )
-    max_coalesced_records: int = _setting(
-        262_144,
-        "record budget per coalesced sampling batch; bounds the work arrays "
-        "one vectorized draw materializes",
-        type=int, at_least=1,
-    )
     sample_queue_limit: Optional[int] = _setting(
         256,
         "bound on sample requests parked in the coalescer across all models; "
@@ -195,9 +172,8 @@ class ServiceConfig:
         1,
         "pre-fork HTTP worker processes sharing the port via SO_REUSEPORT; "
         "worker 0 owns fitting, every worker serves sampling and records the "
-        "fleet size. Unset reads the DPCOPULA_WORKERS environment variable, "
-        "else 1 (the single-process server)",
-        type=int, at_least=1, resolve=_resolve_workers,
+        "fleet size; 1 is the single-process server",
+        type=int, at_least=1,
     )
     worker_index: Optional[int] = _setting(None, at_least=0)
     metrics_flush_seconds: float = _setting(1.0, above=0)
@@ -250,11 +226,6 @@ class ServiceConfig:
             if setting.metadata["zero_off"] and value == 0:
                 value = None
             _check_range(setting, value, flag)
-            if setting.metadata["resolve"] is not None:
-                try:
-                    value = setting.metadata["resolve"](value)
-                except ValueError as exc:
-                    raise ValueError(f"{flag}: {exc}") from None
             values[setting.name] = value
         return cls(**values)
 

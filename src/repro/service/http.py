@@ -446,7 +446,6 @@ def build_server(
     quiet: bool = True,
     *,
     reuse_port: bool = False,
-    listen_socket: Optional[socket.socket] = None,
     worker_label: Optional[str] = None,
 ) -> ThreadingHTTPServer:
     """A ready-to-run threaded HTTP server bound to ``host:port``.
@@ -466,16 +465,9 @@ def build_server(
     ``reuse_port``
         Bind with ``SO_REUSEPORT`` so sibling worker processes can bind
         the same address and share incoming connections kernel-side.
-    ``listen_socket``
-        Adopt an already-bound, already-listening socket (the
-        no-SO_REUSEPORT fallback: the parent binds once and every
-        forked worker accepts from the inherited socket).  Mutually
-        exclusive with ``reuse_port``; ``host``/``port`` are ignored.
     ``worker_label``
         Echoed on every response as ``X-DPCopula-Worker``.
     """
-    if reuse_port and listen_socket is not None:
-        raise ValueError("pass either reuse_port or listen_socket, not both")
     handler = type(
         "BoundSynthesisRequestHandler",
         (SynthesisRequestHandler,),
@@ -486,24 +478,7 @@ def build_server(
             "worker_label": worker_label,
         },
     )
-    if listen_socket is not None:
-        # Every worker selecting on a shared socket wakes for each
-        # connection; those that lose the accept() race must get EAGAIN
-        # and return to serve_forever's loop, where they see a drain,
-        # instead of blocking in accept() where SIGTERM cannot stop them.
-        listen_socket.setblocking(False)
-        server = ThreadingHTTPServer(
-            listen_socket.getsockname()[:2], handler, bind_and_activate=False
-        )
-        server.socket.close()
-        server.socket = listen_socket
-        server.server_address = listen_socket.getsockname()[:2]
-        bound_host, bound_port = server.server_address[:2]
-        server.server_name = socket.getfqdn(bound_host)
-        server.server_port = bound_port
-    elif reuse_port:
-        server = _ReusePortHTTPServer((host, port), handler)
-    else:
-        server = ThreadingHTTPServer((host, port), handler)
+    server_class = _ReusePortHTTPServer if reuse_port else ThreadingHTTPServer
+    server = server_class((host, port), handler)
     server.daemon_threads = True
     return server

@@ -9,17 +9,15 @@ against the *same* data directory.
 
 Socket sharing
 --------------
-Preferred: every worker binds its own listening socket to the same
-address with ``SO_REUSEPORT`` — the kernel load-balances incoming
-connections across the workers with no userspace accept lock.  The
-supervisor first binds a non-listening *holder* socket to fix the port
-(essential for ``--port 0`` in tests) and keeps it open for the fleet's
-lifetime; bound-but-not-listening sockets receive no connections, so
-the holder only reserves the address.  Fallback (platforms without
-``SO_REUSEPORT``): the supervisor binds and listens once, and every
-forked worker accepts from the inherited socket, non-blocking, so the
-workers that lose the race for a connection return to their select
-loop (and can drain) rather than block in ``accept()``.
+Every worker binds its own listening socket to the same address with
+``SO_REUSEPORT`` — the kernel load-balances incoming connections across
+the workers with no userspace accept lock.  The supervisor first binds
+a non-listening *holder* socket to fix the port (essential for
+``--port 0`` in tests) and keeps it open for the fleet's lifetime;
+bound-but-not-listening sockets receive no connections, so the holder
+only reserves the address.  Linux, macOS and the BSDs define
+``SO_REUSEPORT``; elsewhere a fleet is refused and ``--workers 1``
+serves from one process.
 
 Division of labor
 -----------------
@@ -55,21 +53,14 @@ import warnings
 from dataclasses import replace
 from typing import Dict, Optional
 
+from repro.parallel import _available_cpus
 from repro.service.config import ServiceConfig
 from repro.telemetry import get_logger
 from repro.telemetry.aggregate import prune_worker_snapshot
 
-__all__ = [
-    "PreforkServer",
-    "SUPPORTS_REUSE_PORT",
-    "WORKERS_ENV_VAR",
-    "resolve_worker_count",
-]
+__all__ = ["PreforkServer", "SUPPORTS_REUSE_PORT", "resolve_worker_count"]
 
 _logger = get_logger("service.prefork")
-
-#: Environment override for ``--workers``.
-WORKERS_ENV_VAR = "DPCOPULA_WORKERS"
 
 #: Whether this platform can bind N listening sockets to one port.
 SUPPORTS_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
@@ -78,35 +69,28 @@ SUPPORTS_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
 _STABLE_SECONDS = 5.0
 
 
-def resolve_worker_count(value: Optional[int] = None) -> int:
-    """Resolve and validate the pre-fork worker count.
+def resolve_worker_count(value: int) -> int:
+    """Validate a pre-fork worker count and return it.
 
-    An explicit ``value`` (the CLI's ``--workers``) wins; ``None``
-    consults the ``DPCOPULA_WORKERS`` environment variable and falls
-    back to 1 (single-process serving).  Counts below 1 are rejected;
-    counts above the available CPU cores draw a warning — extra workers
-    cost memory without adding throughput.
+    Counts below 1 are rejected, and so is a fleet (more than one
+    worker) where the platform lacks ``SO_REUSEPORT``.  Counts above
+    the CPUs in this process's affinity mask — the count the service's
+    fit context sizes itself by — draw a warning: extra workers cost
+    memory without adding throughput.
     """
-    source = "--workers"
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        source = WORKERS_ENV_VAR
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
     value = int(value)
     if value < 1:
-        raise ValueError(f"{source} must be >= 1, got {value}")
-    cores = os.cpu_count() or 1
-    if value > cores:
+        raise ValueError(f"--workers must be >= 1, got {value}")
+    if value > 1 and not SUPPORTS_REUSE_PORT:
+        raise ValueError(
+            f"--workers {value} needs SO_REUSEPORT, which this platform "
+            "lacks; serve from one process with --workers 1"
+        )
+    cpus = _available_cpus()
+    if value > cpus:
         warnings.warn(
-            f"{source}={value} exceeds the {cores} available CPU core(s); "
-            "extra workers add memory overhead without sampling throughput",
+            f"--workers={value} exceeds the {cpus} CPU(s) this process may "
+            "use; extra workers add memory overhead without sampling throughput",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -119,8 +103,6 @@ def _worker_main(
     port: int,
     worker_index: int,
     quiet: bool,
-    reuse_port: bool,
-    listen_socket: Optional[socket.socket],
     ready_queue,
     supervisor_pid: int,
 ) -> None:
@@ -142,8 +124,7 @@ def _worker_main(
         host=host,
         port=port,
         quiet=quiet,
-        reuse_port=reuse_port,
-        listen_socket=listen_socket,
+        reuse_port=True,
         worker_label=str(worker_index),
     )
 
@@ -182,7 +163,9 @@ class PreforkServer:
     ----------
     config:
         The fleet-wide :class:`ServiceConfig`; ``config.workers`` is the
-        fleet size and each worker gets ``worker_index`` stamped in.
+        fleet size (checked by :func:`resolve_worker_count`, which
+        raises ``ValueError``) and each worker gets ``worker_index``
+        stamped in.
     host, port:
         Bind address.  ``port=0`` resolves an ephemeral port once (via
         the holder socket) that every worker then shares.
@@ -190,9 +173,6 @@ class PreforkServer:
         Suppress per-request logging in workers.
     respawn:
         Whether the watch loop restarts crashed workers.
-    force_inherited_socket:
-        Use the parent-bound listener fallback even where
-        ``SO_REUSEPORT`` exists (exercised by tests on both paths).
     """
 
     def __init__(
@@ -203,15 +183,14 @@ class PreforkServer:
         quiet: bool = True,
         respawn: bool = True,
         max_respawn_delay: float = 2.0,
-        force_inherited_socket: bool = False,
     ):
+        resolve_worker_count(config.workers)
         self.config = config
         self.host = host
         self.requested_port = port
         self.quiet = quiet
         self.respawn = respawn
         self.max_respawn_delay = float(max_respawn_delay)
-        self.reuse_port = SUPPORTS_REUSE_PORT and not force_inherited_socket
         self.port: Optional[int] = None
         self.restarts: Dict[int, int] = {}
         self._ctx = multiprocessing.get_context("fork")
@@ -221,7 +200,6 @@ class PreforkServer:
         self._spawned_at: Dict[int, float] = {}
         self._backoff: Dict[int, float] = {}
         self._holder: Optional[socket.socket] = None
-        self._listen_socket: Optional[socket.socket] = None
         self._stopping = threading.Event()
         self._stopped = False
 
@@ -232,16 +210,10 @@ class PreforkServer:
         if self._holder is not None:
             raise RuntimeError("PreforkServer already started")
         self._holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        if self.reuse_port:
-            self._holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._holder.bind((self.host, self.requested_port))
-            # Never listened: the holder only pins the (possibly
-            # ephemeral) port so workers can bind it by number.
-        else:
-            self._holder.bind((self.host, self.requested_port))
-            self._holder.listen(128)
-            self._holder.set_inheritable(True)
-            self._listen_socket = self._holder
+        self._holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        # Never listened: the holder only pins the (possibly ephemeral)
+        # port so workers can bind it by number.
+        self._holder.bind((self.host, self.requested_port))
         self.port = self._holder.getsockname()[1]
         for index in range(self.config.workers):
             self._spawn(index)
@@ -265,8 +237,6 @@ class PreforkServer:
                 self.port,
                 index,
                 self.quiet,
-                self.reuse_port,
-                self._listen_socket,
                 self._ready_queue,
                 os.getpid(),
             ),
@@ -395,6 +365,5 @@ class PreforkServer:
         if self._holder is not None:
             self._holder.close()
             self._holder = None
-            self._listen_socket = None
         self._ready_queue.close()
         self._ready_queue.join_thread()

@@ -14,6 +14,8 @@ data partition.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 from scipy import optimize, stats as sps
 
@@ -194,23 +196,14 @@ def bivariate_copula_loglikelihood(rho: float, z1: np.ndarray, z2: np.ndarray) -
     )
 
 
-def pairwise_copula_mle(
-    u1: np.ndarray,
-    u2: np.ndarray,
-    initial: float = None,
+def _bivariate_mle(
+    z1: np.ndarray, z2: np.ndarray, initial: Optional[float] = None
 ) -> float:
-    """MLE of the bivariate Gaussian-copula correlation from pseudo-data.
+    """Bounded maximization of the bivariate likelihood on probit scores.
 
-    Bounded scalar maximization of the closed-form bivariate likelihood,
-    initialized at the normal-scores correlation (the one-step estimator).
+    Falls back to ``initial`` (default: the normal-scores correlation,
+    the one-step estimator) if the optimizer reports failure.
     """
-    z1 = _probit(u1)
-    z2 = _probit(u2)
-    if z1.shape != z2.shape or z1.ndim != 1:
-        raise ValueError("u1 and u2 must be 1-D arrays of equal length")
-    if initial is None:
-        denom = np.sqrt(np.dot(z1, z1) * np.dot(z2, z2))
-        initial = float(np.dot(z1, z2) / denom) if denom > 0 else 0.0
     result = optimize.minimize_scalar(
         lambda r: -bivariate_copula_loglikelihood(r, z1, z2),
         bounds=(-0.9999, 0.9999),
@@ -218,8 +211,29 @@ def pairwise_copula_mle(
         options={"xatol": 1e-7},
     )
     if not result.success:  # pragma: no cover - scipy bounded rarely fails
+        if initial is None:
+            denom = np.sqrt(np.dot(z1, z1) * np.dot(z2, z2))
+            initial = float(np.dot(z1, z2) / denom) if denom > 0 else 0.0
         return float(np.clip(initial, -0.9999, 0.9999))
     return float(result.x)
+
+
+def pairwise_copula_mle(
+    u1: np.ndarray,
+    u2: np.ndarray,
+    initial: float = None,
+) -> float:
+    """MLE of the bivariate Gaussian-copula correlation from pseudo-data.
+
+    Bounded scalar maximization of the closed-form bivariate likelihood;
+    ``initial`` (default: the normal-scores correlation) stands in if
+    the optimizer fails.
+    """
+    z1 = _probit(u1)
+    z2 = _probit(u2)
+    if z1.shape != z2.shape or z1.ndim != 1:
+        raise ValueError("u1 and u2 must be 1-D arrays of equal length")
+    return _bivariate_mle(z1, z2, initial)
 
 
 def copula_mle_matrix(pseudo_copula: np.ndarray) -> np.ndarray:
@@ -232,14 +246,5 @@ def copula_mle_matrix(pseudo_copula: np.ndarray) -> np.ndarray:
     z = _probit(u)
     for j in range(m):
         for k in range(j + 1, m):
-            denom = np.sqrt(np.dot(z[:, j], z[:, j]) * np.dot(z[:, k], z[:, k]))
-            init = float(np.dot(z[:, j], z[:, k]) / denom) if denom > 0 else 0.0
-            result = optimize.minimize_scalar(
-                lambda r, a=z[:, j], b=z[:, k]: -bivariate_copula_loglikelihood(r, a, b),
-                bounds=(-0.9999, 0.9999),
-                method="bounded",
-                options={"xatol": 1e-7},
-            )
-            estimate = float(result.x) if result.success else init
-            matrix[j, k] = matrix[k, j] = estimate
+            matrix[j, k] = matrix[k, j] = _bivariate_mle(z[:, j], z[:, k])
     return matrix

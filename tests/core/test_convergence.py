@@ -6,13 +6,13 @@ import pytest
 from repro.core.convergence import (
     ConvergencePoint,
     joint_cdf_distance,
-    margin_distance,
     max_margin_distance,
     run_convergence_study,
-    tau_matrix_error,
 )
 from repro.core.dpcopula import DPCopulaKendall
+from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import SyntheticSpec, gaussian_dependence_data
+from repro.queries.metrics import margin_kolmogorov, pairwise_tau_error
 
 
 def _make_dataset(n, seed=0):
@@ -27,7 +27,7 @@ class TestDistances:
     def test_identical_datasets_have_zero_distance(self):
         data = _make_dataset(1000)
         assert max_margin_distance(data, data) == 0.0
-        assert tau_matrix_error(data, data, rng=0) == pytest.approx(0.0, abs=1e-12)
+        assert pairwise_tau_error(data, data, rng=0) == pytest.approx(0.0, abs=1e-12)
         assert joint_cdf_distance(data, data, rng=0) == 0.0
 
     def test_margin_distance_detects_shift(self):
@@ -36,7 +36,20 @@ class TestDistances:
             n_records=2000, domain_sizes=(80, 80), margins="zipf"
         )
         shifted = gaussian_dependence_data(shifted_spec, rng=2)
-        assert margin_distance(data, shifted, 0) > 0.1
+        assert margin_kolmogorov(data, shifted, 0) > 0.1
+
+    def test_max_margin_distance_is_the_worst_attribute(self):
+        schema = Schema.from_domain_sizes([4, 4])
+        spread = np.tile(np.arange(4), 25)
+        original = Dataset(np.column_stack([spread, spread]), schema)
+        # One attribute matches; the other puts all its mass on 0, a
+        # sup-CDF distance of 1 - 1/4 at the first code.
+        for differing in (0, 1):
+            columns = [spread, spread]
+            columns[differing] = np.zeros_like(spread)
+            synthetic = Dataset(np.column_stack(columns), schema)
+            assert margin_kolmogorov(original, synthetic, 1 - differing) == 0.0
+            assert max_margin_distance(original, synthetic) == 0.75
 
     def test_tau_error_detects_dependence_change(self):
         dependent = _make_dataset(3000, seed=3)
@@ -44,7 +57,7 @@ class TestDistances:
             n_records=3000, domain_sizes=(80, 80), correlation=np.eye(2)
         )
         independent = gaussian_dependence_data(independent_spec, rng=4)
-        assert tau_matrix_error(dependent, independent, rng=5) > 0.2
+        assert pairwise_tau_error(dependent, independent, rng=5) > 0.2
 
     def test_joint_cdf_distance_bounded(self):
         a = _make_dataset(500, seed=6)

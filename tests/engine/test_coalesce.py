@@ -1,20 +1,23 @@
-"""Request coalescing: determinism under batching, overflow, deadlines."""
+"""Request coalescing: determinism under batching, overflow, failures."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import EngineOverloadedError, RequestCoalescer
-from repro.resilience.deadlines import Deadline, DeadlineExceeded, deadline_scope
+from repro.engine import EngineOverloadedError, RequestCoalescer, coalesce
 
 
 class _BlockingPlan:
-    """A stub plan whose batch execution parks until released."""
+    """A stub plan whose batch execution parks until released.
 
-    model_id = "m-blocking"
+    With ``inner`` it draws ``inner``'s real records once released;
+    without, it returns a placeholder per request.
+    """
 
-    def __init__(self):
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.model_id = "m-blocking" if inner is None else inner.model_id
         self.started = threading.Event()
         self.release = threading.Event()
         self.batches = []
@@ -23,13 +26,25 @@ class _BlockingPlan:
         self.started.set()
         assert self.release.wait(timeout=30), "test forgot to release the plan"
         self.batches.append([n for n, _ in requests])
+        if self.inner is not None:
+            return self.inner.sample_batch(requests)
         return [f"result-{n}" for n, _ in requests]
+
+
+def _wait_pending(coalescer, count):
+    """Wait until ``count`` requests are parked behind the executing batch."""
+    for _ in range(1000):
+        if coalescer.pending() == count:
+            break
+        threading.Event().wait(0.005)
+    assert coalescer.pending() == count
 
 
 class TestDeterminism:
     def test_concurrent_requests_bitwise_equal_serial(self, plan):
         """Same seed, same records — coalesced or not (the tentpole gate)."""
-        coalescer = RequestCoalescer(window_seconds=0.02)
+        stub = _BlockingPlan(plan)
+        coalescer = RequestCoalescer()
         seeds = list(range(12))
         expected = {
             seed: plan.sample(80, np.random.default_rng(seed)).values
@@ -41,24 +56,30 @@ class TestDeterminism:
         def worker(seed):
             try:
                 results[seed] = coalescer.sample(
-                    plan, 80, np.random.default_rng(seed)
+                    stub, 80, np.random.default_rng(seed)
                 )
             except BaseException as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
+        # Hold the leader's batch so every other request parks behind it.
         threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
-        for thread in threads:
+        threads[0].start()
+        assert stub.started.wait(timeout=10)
+        for thread in threads[1:]:
             thread.start()
+        _wait_pending(coalescer, len(seeds) - 1)
+        stub.release.set()
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
+        assert stub.batches == [[80], [80] * (len(seeds) - 1)]
         assert set(results) == set(seeds)
         for seed in seeds:
             np.testing.assert_array_equal(results[seed].values, expected[seed])
 
-    def test_single_request_no_window(self, plan):
-        """window=0: a lone request is served immediately, no batching wait."""
-        coalescer = RequestCoalescer(window_seconds=0.0)
+    def test_single_request_served_alone(self, plan):
+        """A lone request is served at once, by itself."""
+        coalescer = RequestCoalescer()
         result = coalescer.sample(plan, 50, np.random.default_rng(9))
         serial = plan.sample(50, np.random.default_rng(9))
         np.testing.assert_array_equal(result.values, serial.values)
@@ -69,7 +90,7 @@ class TestBatching:
     def test_requests_coalesce_while_leader_blocked(self):
         """Arrivals during execution form the next batch (stub plan)."""
         stub = _BlockingPlan()
-        coalescer = RequestCoalescer(window_seconds=0.0)
+        coalescer = RequestCoalescer()
         rng = np.random.default_rng(0)
 
         leader = threading.Thread(
@@ -84,12 +105,7 @@ class TestBatching:
         ]
         for thread in followers:
             thread.start()
-        # Wait until all three are parked behind the executing batch.
-        for _ in range(1000):
-            if coalescer.pending() == 3:
-                break
-            threading.Event().wait(0.005)
-        assert coalescer.pending() == 3
+        _wait_pending(coalescer, 3)
 
         stub.release.set()
         leader.join(timeout=10)
@@ -102,27 +118,89 @@ class TestBatching:
         assert sorted(n for batch in stub.batches[1:] for n in batch) == [2, 3, 4]
         assert len(stub.batches) == 2
 
-    def test_max_batch_records_splits_drain(self):
+    def test_max_batch_records_splits_drain(self, monkeypatch):
+        monkeypatch.setattr(coalesce, "MAX_BATCH_RECORDS", 100)
         stub = _BlockingPlan()
-        stub.release.set()  # never block
-        coalescer = RequestCoalescer(window_seconds=0.05, max_batch_records=100)
+        coalescer = RequestCoalescer()
         rng = np.random.default_rng(0)
-        threads = [
-            threading.Thread(target=lambda: coalescer.sample(stub, 60, rng))
-            for _ in range(3)
-        ]
-        for thread in threads:
+
+        threads = [threading.Thread(target=lambda: coalescer.sample(stub, 60, rng))]
+        threads[0].start()
+        assert stub.started.wait(timeout=10)
+        # Park the followers one at a time, so the queue order is fixed.
+        for parked, n in enumerate([60, 40, 30], start=1):
+            thread = threading.Thread(target=lambda n=n: coalescer.sample(stub, n, rng))
             thread.start()
+            threads.append(thread)
+            _wait_pending(coalescer, parked)
+
+        stub.release.set()
         for thread in threads:
             thread.join(timeout=10)
-        assert sorted(n for batch in stub.batches for n in batch) == [60, 60, 60]
-        assert all(sum(batch) <= 100 for batch in stub.batches)
+        # 60 + 40 fills the 100-record budget; 30 more would exceed it.
+        assert stub.batches == [[60], [60, 40], [30]]
+
+    def test_batch_budget_is_262144_records(self):
+        assert coalesce.MAX_BATCH_RECORDS == 262_144
+        stub = _BlockingPlan()
+        coalescer = RequestCoalescer()
+        rng = np.random.default_rng(0)
+
+        threads = [threading.Thread(target=lambda: coalescer.sample(stub, 1, rng))]
+        threads[0].start()
+        assert stub.started.wait(timeout=10)
+        for parked, n in enumerate([131_072, 131_072, 1], start=1):
+            thread = threading.Thread(target=lambda n=n: coalescer.sample(stub, n, rng))
+            thread.start()
+            threads.append(thread)
+            _wait_pending(coalescer, parked)
+
+        stub.release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        # A batch may reach the budget exactly, but not pass it.
+        assert stub.batches == [[1], [131_072, 131_072], [1]]
+
+    def test_oversized_request_is_served_in_a_batch_of_its_own(
+        self, plan, monkeypatch
+    ):
+        """A request above the budget still runs, alone and bitwise."""
+        monkeypatch.setattr(coalesce, "MAX_BATCH_RECORDS", 100)
+        stub = _BlockingPlan(plan)
+        coalescer = RequestCoalescer()
+        sizes = {1: 30, 2: 150, 3: 20}
+        expected = {
+            seed: plan.sample(n, np.random.default_rng(seed)).values
+            for seed, n in sizes.items()
+        }
+        results = {}
+
+        def worker(seed):
+            results[seed] = coalescer.sample(
+                stub, sizes[seed], np.random.default_rng(seed)
+            )
+
+        threads = [threading.Thread(target=worker, args=(1,))]
+        threads[0].start()
+        assert stub.started.wait(timeout=10)
+        for parked, seed in enumerate([2, 3], start=1):
+            thread = threading.Thread(target=worker, args=(seed,))
+            thread.start()
+            threads.append(thread)
+            _wait_pending(coalescer, parked)
+
+        stub.release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert stub.batches == [[30], [150], [20]]
+        for seed in sizes:
+            np.testing.assert_array_equal(results[seed].values, expected[seed])
 
 
 class TestOverflow:
     def test_queue_overflow_rejected_with_retry_hint(self):
         stub = _BlockingPlan()
-        coalescer = RequestCoalescer(window_seconds=0.0, max_pending_requests=2)
+        coalescer = RequestCoalescer(max_pending_requests=2)
         rng = np.random.default_rng(0)
 
         leader = threading.Thread(target=lambda: coalescer.sample(stub, 1, rng))
@@ -135,11 +213,7 @@ class TestOverflow:
         ]
         for thread in parked:
             thread.start()
-        for _ in range(1000):
-            if coalescer.pending() == 2:
-                break
-            threading.Event().wait(0.005)
-        assert coalescer.pending() == 2
+        _wait_pending(coalescer, 2)
 
         with pytest.raises(EngineOverloadedError, match="overloaded") as excinfo:
             coalescer.sample(stub, 1, rng)
@@ -152,32 +226,7 @@ class TestOverflow:
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
-            RequestCoalescer(window_seconds=-1)
-        with pytest.raises(ValueError):
-            RequestCoalescer(max_batch_records=0)
-        with pytest.raises(ValueError):
             RequestCoalescer(max_pending_requests=0)
-
-
-class TestDeadlines:
-    def test_parked_follower_honors_deadline(self):
-        """A follower whose budget lapses raises instead of waiting forever."""
-        stub = _BlockingPlan()
-        coalescer = RequestCoalescer(window_seconds=0.0)
-        rng = np.random.default_rng(0)
-
-        leader = threading.Thread(target=lambda: coalescer.sample(stub, 1, rng))
-        leader.start()
-        assert stub.started.wait(timeout=10)
-
-        with pytest.raises(DeadlineExceeded):
-            with deadline_scope(Deadline(0.05)):
-                coalescer.sample(stub, 1, rng)
-        # The abandoned follower withdrew from the queue.
-        assert coalescer.pending() == 0
-
-        stub.release.set()
-        leader.join(timeout=10)
 
 
 class TestFailureIsolation:
@@ -190,7 +239,7 @@ class TestFailureIsolation:
             def sample_batch(self, requests):
                 raise RuntimeError("boom")
 
-        coalescer = RequestCoalescer(window_seconds=0.0)
+        coalescer = RequestCoalescer()
         with pytest.raises(RuntimeError, match="boom"):
             coalescer.sample(_FailingPlan(), 5, np.random.default_rng(0))
         # The coalescer is still serviceable for healthy plans.

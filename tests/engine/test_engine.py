@@ -40,7 +40,7 @@ class TestComposition:
     def test_with_coalescer_seeded_still_bitwise(self, plan, released_model):
         engine = SamplingEngine(
             {"m-test": plan}.__getitem__,
-            coalescer=RequestCoalescer(window_seconds=0.0),
+            coalescer=RequestCoalescer(),
         )
         baseline = released_model.sample(150, rng=np.random.default_rng(5))
         served = engine.sample("m-test", 150, seed=5)

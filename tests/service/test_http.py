@@ -19,7 +19,6 @@ from repro.service import (
     ServiceConfig,
     SynthesisService,
     build_server,
-    resolve_worker_count,
 )
 from repro.service.errors import QueueFullError
 from repro.service.http import _SLOT, _json_body
@@ -379,15 +378,12 @@ class TestTransport:
 class TestSampleBody:
     """A sample response's body, byte for byte, on both encoding paths."""
 
-    @pytest.fixture
-    def served_model(self, tmp_path, released_model):
-        """(port, model record) of a server holding ``released_model``.
-
-        A pre-fork fleet when ``DPCOPULA_WORKERS`` asks for more than one
-        worker, else one in-thread server.
-        """
+    @pytest.fixture(params=[1, 2], ids=["one-process", "two-worker-fleet"])
+    def served_model(self, request, tmp_path, released_model):
+        """(port, model record) of a server holding ``released_model``:
+        one in-thread server, or a two-worker pre-fork fleet."""
         config = ServiceConfig(
-            data_dir=tmp_path / "data", epsilon_cap=3.0, workers=resolve_worker_count()
+            data_dir=tmp_path / "data", epsilon_cap=3.0, workers=request.param
         )
         config.ensure_layout()
         record = ModelRegistry(config.models_dir).put(

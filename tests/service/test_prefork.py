@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +36,6 @@ from repro.service import (
     resolve_worker_count,
 )
 from repro.service.errors import QueueFullError
-from repro.service.prefork import WORKERS_ENV_VAR
 
 from tests.service.conftest import ServiceClient
 from tests.telemetry.test_aggregate import assert_buckets_ascend
@@ -103,7 +102,7 @@ def fleet_factory(tmp_path):
     """Start fleets that are always stopped (joined) at test exit."""
     started = []
 
-    def _start(workers, model=None, force_inherited_socket=False, **config_kw):
+    def _start(workers, model=None, **config_kw):
         config = ServiceConfig(
             data_dir=tmp_path / "data",
             epsilon_cap=10.0,
@@ -115,9 +114,7 @@ def fleet_factory(tmp_path):
         if model is not None:
             registry = ModelRegistry(config.models_dir)
             model_id = registry.put(model, dataset_id="d1", method="kendall").model_id
-        supervisor = PreforkServer(
-            config, port=0, quiet=True, force_inherited_socket=force_inherited_socket
-        )
+        supervisor = PreforkServer(config, port=0, quiet=True)
         started.append(supervisor)
         supervisor.start(timeout=90)
         return supervisor, model_id
@@ -128,75 +125,35 @@ def fleet_factory(tmp_path):
 
 
 class TestResolveWorkerCount:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-
-    def test_defaults_to_single_process(self):
-        assert resolve_worker_count() == 1
-        assert resolve_worker_count(None) == 1
-
-    def test_explicit_value_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_worker_count(1) == 1
-
-    def test_environment_override(self, monkeypatch):
-        cores = os.cpu_count() or 1
-        monkeypatch.setenv(WORKERS_ENV_VAR, str(cores))
-        assert resolve_worker_count() == cores
-
-    def test_environment_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="must be an integer"):
-            resolve_worker_count()
-
     @pytest.mark.parametrize("bad", [0, -1, -8])
     def test_rejects_counts_below_one(self, bad):
         with pytest.raises(ValueError, match="must be >= 1"):
             resolve_worker_count(bad)
 
-    def test_rejects_sub_one_environment_value(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        with pytest.raises(ValueError, match="DPCOPULA_WORKERS must be >= 1"):
-            resolve_worker_count()
+    def test_warns_when_workers_exceed_the_affinity_mask(self, monkeypatch):
+        # A server pinned to 2 CPUs of a 64-core host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_worker_count(2) == 2
+        with pytest.warns(RuntimeWarning, match="exceeds the 2 CPU"):
+            assert resolve_worker_count(8) == 8
 
-    def test_warns_when_workers_exceed_cores(self):
-        over = (os.cpu_count() or 1) + 1
-        with pytest.warns(RuntimeWarning, match="exceeds"):
-            assert resolve_worker_count(over) == over
+    def test_a_fleet_needs_reuse_port(self, monkeypatch, tmp_path):
+        # Every worker binds the shared port with SO_REUSEPORT; where the
+        # platform lacks it, only one process may serve.
+        monkeypatch.setattr("repro.service.prefork.SUPPORTS_REUSE_PORT", False)
+        assert resolve_worker_count(1) == 1
+        with pytest.raises(ValueError, match="--workers 2 needs SO_REUSEPORT"):
+            resolve_worker_count(2)
+        config = ServiceConfig(data_dir=tmp_path / "data", workers=2)
+        with pytest.raises(ValueError, match="needs SO_REUSEPORT"):
+            PreforkServer(config, port=0)
+        assert not config.data_dir.exists()
 
 
-class TestBuildServerSocketModes:
-    def test_reuse_port_and_inherited_socket_are_exclusive(self, service):
-        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            with pytest.raises(ValueError, match="not both"):
-                build_server(service, reuse_port=True, listen_socket=placeholder)
-        finally:
-            placeholder.close()
-
-    def test_inherited_socket_never_blocks_in_accept(self, service):
-        # A worker that lost the race for a connection on the shared
-        # socket finds none waiting: accept must fail at once, or the
-        # worker sits in accept() where a SIGTERM drain cannot reach it.
-        listener = socket.create_server(("127.0.0.1", 0))
-        outcome = []
-
-        def accept_nothing():
-            try:
-                server.get_request()
-            except BlockingIOError:
-                outcome.append("would block")
-
-        try:
-            server = build_server(service, listen_socket=listener)
-            thread = threading.Thread(target=accept_nothing, daemon=True)
-            thread.start()
-            thread.join(timeout=5.0)
-            assert outcome == ["would block"]
-        finally:
-            listener.close()
-
+class TestBuildServer:
     def test_worker_label_header(self, service):
         server = build_server(service, worker_label="7")
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -293,24 +250,6 @@ class TestFleetServing:
                 supervisor.port, "GET", f"/models/{view['model_id']}"
             )
             assert status == 200 and info["model_id"] == view["model_id"]
-
-    def test_inherited_listener_fallback_serves_bitwise(
-        self, fleet_factory, small_dataset
-    ):
-        model = _fit_release(small_dataset)
-        supervisor, model_id = fleet_factory(
-            2, model=model, force_inherited_socket=True
-        )
-        assert supervisor.reuse_port is False
-        serial = model.sample(30, rng=np.random.default_rng(5)).values
-        for _ in range(10):
-            status, body, headers = _sample(supervisor.port, model_id, 30, 5)
-            assert status == 200
-            np.testing.assert_array_equal(
-                np.asarray(body["records"], dtype=np.int64), serial
-            )
-            assert headers["X-DPCopula-Worker"] in {"0", "1"}
-
 
 class TestSupervision:
     def test_sigterm_drain_exits_cleanly(self, fleet_factory, small_dataset):

@@ -112,6 +112,35 @@ class TestMLEMatrix:
         with pytest.raises(ValueError):
             copula_mle_matrix(np.array([0.5, 0.5]))
 
+    def test_entries_are_the_pairwise_mle(self):
+        correlation = np.array(
+            [[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]]
+        )
+        u = _gaussian_copula_sample(correlation, 800, 5)
+        matrix = copula_mle_matrix(u)
+        for j, k in [(0, 1), (0, 2), (1, 2)]:
+            pairwise = pairwise_copula_mle(u[:, j], u[:, k])
+            assert matrix[j, k] == matrix[k, j] == pytest.approx(pairwise, abs=1e-6)
+
+    def test_failed_optimizer_falls_back_to_the_clipped_initial_value(
+        self, monkeypatch
+    ):
+        from scipy import optimize
+
+        monkeypatch.setattr(
+            optimize,
+            "minimize_scalar",
+            lambda *args, **kwargs: optimize.OptimizeResult(x=0.0, success=False),
+        )
+        u = _gaussian_copula_sample(np.array([[1.0, 0.6], [0.6, 1.0]]), 4000, 6)
+        # Default initial value: the normal-scores correlation.
+        fallback = pairwise_copula_mle(u[:, 0], u[:, 1])
+        assert fallback == pytest.approx(0.6, abs=0.05)
+        # The matrix dots column views: equal up to summation order.
+        assert copula_mle_matrix(u)[0, 1] == pytest.approx(fallback, abs=1e-12)
+        assert pairwise_copula_mle(u[:, 0], u[:, 1], initial=1.5) == 0.9999
+        assert pairwise_copula_mle(u[:, 0], u[:, 1], initial=-3.0) == -0.9999
+
 
 class TestBivariateNormalCdf:
     def test_matches_scipy_reference(self):

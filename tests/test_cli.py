@@ -75,8 +75,6 @@ _SERVE_DEFAULTS = {
     "max_queued_fits": 32,
     "fit_timeout_seconds": None,
     "request_timeout_seconds": 30.0,
-    "coalesce_window_seconds": 0.0,
-    "max_coalesced_records": 262_144,
     "sample_queue_limit": 256,
     "model_cache_size": 128,
     "workers": 1,
@@ -90,16 +88,15 @@ _SERVE_DEFAULTS = {
     "probe_sample_size": 512,
 }
 
-# (serve flags, DPCOPULA_WORKERS, fields that differ from _SERVE_DEFAULTS)
+# (serve flags, fields that differ from _SERVE_DEFAULTS)
 _SERVE_CONFIG_TABLE = {
-    "defaults": ([], None, {}),
+    "defaults": ([], {}),
     "zero-means-off": (
         [
             "--max-queued-fits", "0", "--fit-timeout", "0",
             "--request-timeout", "0", "--sample-queue-limit", "0",
             "--model-cache-size", "0", "--slow-request-threshold", "0",
         ],
-        None,
         {
             "max_queued_fits": None,
             "fit_timeout_seconds": None,
@@ -114,13 +111,11 @@ _SERVE_CONFIG_TABLE = {
             "--epsilon-cap", "2.5", "--fit-workers", "2",
             "--log-level", "warning", "--max-queued-fits", "5",
             "--fit-timeout", "7.5", "--request-timeout", "12",
-            "--coalesce-window", "0.002", "--max-coalesced-records", "1000",
             "--sample-queue-limit", "9", "--model-cache-size", "4",
             "--workers", "2", "--slow-request-threshold", "0.5",
             "--no-trace-export",
             "--probe-interval", "3", "--probe-sample-size", "64",
         ],
-        None,
         {
             "epsilon_cap": 2.5,
             "fit_workers": 2,
@@ -128,8 +123,6 @@ _SERVE_CONFIG_TABLE = {
             "max_queued_fits": 5,
             "fit_timeout_seconds": 7.5,
             "request_timeout_seconds": 12.0,
-            "coalesce_window_seconds": 0.002,
-            "max_coalesced_records": 1000,
             "sample_queue_limit": 9,
             "model_cache_size": 4,
             "workers": 2,
@@ -139,16 +132,14 @@ _SERVE_CONFIG_TABLE = {
             "probe_sample_size": 64,
         },
     ),
-    "no-trace-export": (["--no-trace-export"], None, {"trace_export_enabled": False}),
-    "workers-from-environment": ([], "2", {"workers": 2}),
-    "explicit-workers-beat-environment": (["--workers", "1"], "2", {}),
+    "no-trace-export": (["--no-trace-export"], {"trace_export_enabled": False}),
 }
 
 
 class TestServeConfig:
     """``dpcopula serve``'s flags come from ServiceConfig's fields."""
 
-    def test_parser_offers_the_19_serve_flags(self):
+    def test_parser_offers_the_17_serve_flags(self):
         parser = build_parser()
         commands = next(
             action for action in parser._actions if action.dest == "command"
@@ -162,22 +153,18 @@ class TestServeConfig:
             "--data-dir", "--host", "--port", "--verbose", "--workers",
             "--epsilon-cap", "--fit-workers", "--log-level",
             "--max-queued-fits", "--fit-timeout", "--request-timeout",
-            "--coalesce-window",
-            "--max-coalesced-records", "--sample-queue-limit",
-            "--model-cache-size", "--slow-request-threshold",
+            "--sample-queue-limit", "--model-cache-size",
+            "--slow-request-threshold",
             "--no-trace-export", "--probe-interval", "--probe-sample-size",
         }
 
     @pytest.mark.parametrize("row", list(_SERVE_CONFIG_TABLE))
-    def test_serve_builds_the_pinned_config(self, row, monkeypatch):
+    def test_serve_builds_the_pinned_config(self, row):
         from dataclasses import asdict
 
         from repro.service import ServiceConfig
 
-        flags, workers_env, changed = _SERVE_CONFIG_TABLE[row]
-        monkeypatch.delenv("DPCOPULA_WORKERS", raising=False)
-        if workers_env is not None:
-            monkeypatch.setenv("DPCOPULA_WORKERS", workers_env)
+        flags, changed = _SERVE_CONFIG_TABLE[row]
         args = build_parser().parse_args(["serve", "--data-dir", "svc", *flags])
         config = ServiceConfig.from_flags(args)
         assert asdict(config) == {**_SERVE_DEFAULTS, **changed}
@@ -188,8 +175,8 @@ class TestServeConfig:
             ("--epsilon-cap", "0"),
             ("--fit-workers", "0"),
             ("--max-queued-fits", "-1"),
-            ("--max-coalesced-records", "0"),
             ("--sample-queue-limit", "-3"),
+            ("--workers", "0"),
             ("--model-cache-size", "-1"),
             ("--probe-sample-size", "0"),
             ("--request-timeout", "-1"),
@@ -211,12 +198,20 @@ class TestServeConfig:
         assert not data_dir.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--parallel-backend", "thread"), ("--parallel-workers", "2")]
+        "flag, value",
+        [
+            ("--parallel-backend", "thread"),
+            ("--parallel-workers", "2"),
+            ("--coalesce-window", "0.002"),
+            ("--max-coalesced-records", "1000"),
+        ],
     )
     def test_retired_parallel_flag_exits_2_before_the_data_dir_exists(
         self, flag, value, tmp_path, monkeypatch, capsys
     ):
-        """The service picks a fit's parallelism itself; no flag sets it."""
+        """Retired flags are refused: the service picks a fit's
+        parallelism itself, and the coalescer neither waits for peers
+        nor takes a batch budget."""
         import repro.service
 
         def no_server(*args, **kwargs):
@@ -228,6 +223,22 @@ class TestServeConfig:
             main(["serve", "--data-dir", str(data_dir), flag, value])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not data_dir.exists()
+
+    def test_fleet_without_reuse_port_exits_2_before_the_data_dir_exists(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Every fleet worker binds the port with SO_REUSEPORT; where the
+        platform lacks it, ``--workers`` above 1 is refused."""
+        import repro.service.prefork
+
+        monkeypatch.setattr(repro.service.prefork, "SUPPORTS_REUSE_PORT", False)
+        data_dir = tmp_path / "svc"
+        code = main(
+            ["serve", "--data-dir", str(data_dir), "--port", "0", "--workers", "2"]
+        )
+        assert code == 2
+        assert "error: --workers 2 needs SO_REUSEPORT" in capsys.readouterr().err
         assert not data_dir.exists()
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
@@ -248,7 +259,6 @@ class TestServeConfig:
             def server_close(self):
                 pass
 
-        monkeypatch.delenv("DPCOPULA_WORKERS", raising=False)
         monkeypatch.setattr(repro.service, "build_server", lambda *a, **kw: _Server())
         monkeypatch.setattr(repro.cli.signal, "signal", lambda *args: None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)

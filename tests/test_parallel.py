@@ -1,5 +1,7 @@
 """Unit tests for the shared parallel-execution layer."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.parallel import (
     resolve_context,
     spawn_seed_sequences,
 )
+from repro.telemetry import trace
+from repro.telemetry.logs import bind_context, current_context
 
 
 def _square(task, shared):
@@ -17,6 +21,10 @@ def _square(task, shared):
 
 def _offset(task, shared):
     return task + shared["offset"]
+
+
+def _bound_ids(task, shared):
+    return current_context()
 
 
 class TestExecutionContext:
@@ -57,6 +65,29 @@ class TestExecutionContext:
         context = ExecutionContext("process", max_workers=1)
         assert context.is_serial
         assert context.map_tasks(_square, [1, 2]) == [1, 4]
+
+
+class TestPooledChunks:
+    """One chunk runner serves every pooled backend, traced or not."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_tasks_see_the_callers_correlation_ids(self, backend, traced):
+        context = ExecutionContext(backend, max_workers=2, chunk_size=2)
+        ids = {"request_id": "req-7", "job_id": "job-3"}
+        root = trace.trace_root("run") if traced else contextlib.nullcontext()
+        with root, bind_context(**ids):
+            seen = context.map_tasks(_bound_ids, list(range(6)))
+        assert seen == [ids] * 6
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_traced_chunks_read_the_shared_payload(self, backend):
+        context = ExecutionContext(backend, max_workers=2, chunk_size=2)
+        with trace.trace_root("run") as root:
+            result = context.map_tasks(_offset, [1, 2, 3], shared={"offset": 10})
+        assert result == [11, 12, 13]
+        (map_span,) = root.children
+        assert [c.name for c in map_span.children] == ["parallel.chunk"] * 2
 
 
 class TestResolveContext:

@@ -1,6 +1,8 @@
 """The public API surface: everything advertised must import and resolve."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +138,15 @@ def test_every_public_function_has_docstring():
                 if not (obj.__doc__ or "").strip():
                     undocumented.append(f"{module_name}.{name}")
     assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+def test_package_reads_only_the_log_and_fault_environment_variables():
+    """Settings are serve flags and ServiceConfig fields.  The only
+    ``DPCOPULA_*`` variables the package names are the log level and the
+    fault-injection harness's two."""
+    named = {
+        name
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        for name in re.findall(r"DPCOPULA_\w+", path.read_text(encoding="utf-8"))
+    }
+    assert named <= {"DPCOPULA_LOG", "DPCOPULA_FAULTS", "DPCOPULA_FAULTS_LATCH"}
